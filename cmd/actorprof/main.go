@@ -1,7 +1,7 @@
 // Command actorprof is the ActorProf visualization utility: it renders
-// the trace files a profiled run produced (PEi_send.csv, PEi_PAPI.csv,
-// overall.txt, physical.txt) as terminal plots and, optionally, SVG
-// documents.
+// the trace files a profiled run produced (the APBF files runs write, or
+// the paper's PEi_send.csv, PEi_PAPI.csv, overall.txt, physical.txt) as
+// terminal plots and, optionally, SVG documents.
 //
 // It mirrors the paper's run-time flags:
 //
@@ -10,30 +10,30 @@
 //	-s    overall stacked bar graph  (Overall.py), absolute and relative
 //	-p    physical-trace heatmap     (physical.py)
 //
-// plus the quartile violin plots of the case study and an export of the
-// physical trace in Google Trace Event JSON (a paper future-work item):
+// plus the quartile violin plots of the case study:
 //
 //	-violin        logical+physical violins
 //	-svg DIR       also write every selected plot as an SVG into DIR
-//	-trace-events FILE  write physical trace as chrome://tracing JSON
 //	-event NAME    PAPI event for -lp (default PAPI_TOT_INS)
 //
 // Usage:
 //
 //	actorprof [flags] <trace-dir>
-//	actorprof export [-out file] [-legacy] [-timeline file.svg] [-index] <trace-dir>
+//	actorprof export [-format perfetto|paper] [-out path] [-timeline file.svg] [-index] <trace-dir>
 //
 // With no plot flags, every plot the trace directory supports is
 // rendered. The export subcommand writes the physical trace as a
 // full-model Perfetto / chrome://tracing document (durations, counters,
-// process metadata), can rebuild the time-index sidecar (-index), and
-// can render the windowed activity timeline as SVG (-timeline).
+// process metadata; Google Trace Event JSON, a paper future-work item),
+// or with -format paper converts the whole trace into the paper's
+// CSV/text formats in another directory. It can also rebuild the
+// time-index sidecar (-index) and render the windowed activity timeline
+// as SVG (-timeline).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -51,22 +51,23 @@ func main() {
 }
 
 // runExport is the "actorprof export <trace-dir>" subcommand: it writes
-// the physical trace in the full-model Perfetto form (or the legacy
-// instant-event array with -legacy), optionally rebuilds the time-index
-// sidecar first, and can render the windowed activity timeline as SVG.
+// the physical trace in the full-model Perfetto form, or (-format paper)
+// the whole trace in the paper's CSV/text formats into another
+// directory; optionally it rebuilds the time-index sidecar first and
+// renders the windowed activity timeline as SVG.
 func runExport(args []string) error {
 	fs := flag.NewFlagSet("actorprof export", flag.ContinueOnError)
 	var (
-		out    = fs.String("out", "", `output file (default <trace-dir>/trace.perfetto.json, "-" for stdout)`)
-		legacy = fs.Bool("legacy", false,
-			"write the legacy instant-event array (ExportTraceEvents) instead of the full Perfetto model")
+		format = fs.String("format", "perfetto", "export format: perfetto (Trace Event JSON) | paper (the paper's CSV/text trace files)")
+		out    = fs.String("out", "",
+			`perfetto: output file (default <trace-dir>/trace.perfetto.json, "-" for stdout); paper: output directory (required)`)
 		timeline = fs.String("timeline", "", "also render the activity timeline SVG to this file")
 		lod      = fs.Int("lod", 1, "pyramid level of detail for -timeline (>= 1)")
 		index    = fs.Bool("index", false, "(re)build the time-index sidecar (physical.idx) before exporting")
 		workers  = fs.Int("workers", 0, "parallel trace-parse workers (0 = GOMAXPROCS)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: actorprof export [-out file] [-legacy] [-timeline file.svg] [-index] <trace-dir>")
+		fmt.Fprintln(fs.Output(), "usage: actorprof export [-format perfetto|paper] [-out path] [-timeline file.svg] [-index] <trace-dir>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -77,6 +78,17 @@ func runExport(args []string) error {
 		return fmt.Errorf("expected exactly one trace directory, got %d args", fs.NArg())
 	}
 	dir := fs.Arg(0)
+	if *format != "perfetto" && *format != "paper" {
+		return fmt.Errorf("unknown -format %q (want perfetto or paper)", *format)
+	}
+	if *format == "paper" {
+		if *out == "" {
+			return fmt.Errorf("-format paper needs -out DIR")
+		}
+		if sameDir(*out, dir) {
+			return fmt.Errorf("-out %s is the trace directory itself; export the paper format into another directory", *out)
+		}
+	}
 
 	if *index {
 		built, err := trace.BuildTimeIndex(dir)
@@ -88,41 +100,18 @@ func runExport(args []string) error {
 		}
 	}
 
-	full, _, err := trace.ReadSetOptions(dir, trace.ReadOptions{Workers: *workers})
+	full, _, err := trace.ReadSet(dir, trace.ReadOptions{Workers: *workers})
 	if err != nil {
 		return fmt.Errorf("reading trace directory %s: %w", dir, err)
 	}
-	if !full.Config.Physical {
-		return fmt.Errorf("trace %s has no physical trace; nothing to export", dir)
-	}
-
-	dest := *out
-	if dest == "" {
-		dest = filepath.Join(dir, "trace.perfetto.json")
-	}
-	var w io.Writer = os.Stdout
-	var f *os.File
-	if dest != "-" {
-		if f, err = os.Create(dest); err != nil {
+	if *format == "paper" {
+		full.Config.Format = trace.FormatCSV
+		if err := full.WriteFiles(*out); err != nil {
 			return err
 		}
-		w = f
-	}
-	if *legacy {
-		err = full.ExportTraceEvents(w)
-	} else {
-		err = full.ExportPerfetto(w)
-	}
-	if f != nil {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
+		fmt.Printf("wrote the paper's CSV trace files to %s\n", *out)
+	} else if err := exportPerfetto(full, dir, *out); err != nil {
 		return err
-	}
-	if dest != "-" {
-		fmt.Printf("wrote Trace Event JSON to %s\n", dest)
 	}
 
 	if *timeline != "" {
@@ -150,6 +139,40 @@ func runExport(args []string) error {
 	return nil
 }
 
+// exportPerfetto writes full's physical trace as Perfetto JSON to dest
+// (default <dir>/trace.perfetto.json, "-" for stdout).
+func exportPerfetto(full *trace.Set, dir, dest string) (err error) {
+	if !full.Config.Physical {
+		return fmt.Errorf("trace %s has no physical trace; nothing to export", dir)
+	}
+	if dest == "" {
+		dest = filepath.Join(dir, "trace.perfetto.json")
+	}
+	if dest == "-" {
+		return full.ExportPerfetto(os.Stdout)
+	}
+	f, err := os.Create(dest)
+	if err != nil {
+		return err
+	}
+	err = full.ExportPerfetto(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		fmt.Printf("wrote Trace Event JSON to %s\n", dest)
+	}
+	return err
+}
+
+// sameDir reports whether path names the directory dir, through any
+// spelling or link.
+func sameDir(path, dir string) bool {
+	a, errA := os.Stat(path)
+	b, errB := os.Stat(dir)
+	return errA == nil && errB == nil && os.SameFile(a, b)
+}
+
 func run(args []string) error {
 	if len(args) > 0 && args[0] == "export" {
 		return runExport(args[1:])
@@ -159,15 +182,14 @@ func run(args []string) error {
 	}
 	fs := flag.NewFlagSet("actorprof", flag.ContinueOnError)
 	var (
-		logical     = fs.Bool("l", false, "render the logical-trace heatmap")
-		papiBar     = fs.Bool("lp", false, "render the PAPI counter bar graph")
-		overall     = fs.Bool("s", false, "render the overall MAIN/COMM/PROC stacked bars")
-		physical    = fs.Bool("p", false, "render the physical-trace heatmap")
-		violins     = fs.Bool("violin", false, "render quartile violin plots")
-		svgDir      = fs.String("svg", "", "directory to also write SVG files into")
-		eventName   = fs.String("event", "PAPI_TOT_INS", "PAPI event for -lp")
-		traceEvents = fs.String("trace-events", "", "write the physical trace as Google Trace Event JSON to this file")
-		workers     = fs.Int("workers", 0, "parallel trace-parse workers (0 = GOMAXPROCS)")
+		logical   = fs.Bool("l", false, "render the logical-trace heatmap")
+		papiBar   = fs.Bool("lp", false, "render the PAPI counter bar graph")
+		overall   = fs.Bool("s", false, "render the overall MAIN/COMM/PROC stacked bars")
+		physical  = fs.Bool("p", false, "render the physical-trace heatmap")
+		violins   = fs.Bool("violin", false, "render quartile violin plots")
+		svgDir    = fs.String("svg", "", "directory to also write SVG files into")
+		eventName = fs.String("event", "PAPI_TOT_INS", "PAPI event for -lp")
+		workers   = fs.Int("workers", 0, "parallel trace-parse workers (0 = GOMAXPROCS)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: actorprof [-l] [-lp] [-s] [-p] [-violin] [-svg dir] <trace-dir>")
@@ -183,32 +205,29 @@ func run(args []string) error {
 	dir := fs.Arg(0)
 
 	// Every standard plot consumes only aggregate matrices, so the trace
-	// is folded into an O(PEs^2) Summary while it streams off disk; the
-	// per-record slices are materialized only for -trace-events below.
+	// is folded into an O(PEs^2) Summary while it streams off disk.
 	set, _, err := trace.ReadSummary(dir, trace.ReadOptions{Workers: *workers})
 	if err != nil {
 		return fmt.Errorf("reading trace directory %s: %w", dir, err)
 	}
 	fmt.Printf("trace: %s (%d PEs, %d per node)\n\n", dir, set.NumPEs, set.PEsPerNode)
 
-	all := !*logical && !*papiBar && !*overall && !*physical && !*violins && *traceEvents == ""
+	all := !*logical && !*papiBar && !*overall && !*physical && !*violins
 	// Degenerate and partial directories must produce a friendly error,
 	// not a silent no-op (or, historically, a stats panic on empty violin
 	// input): tell the user which feature the trace is missing.
 	if !all {
 		switch {
 		case *logical && !set.Config.Logical:
-			return fmt.Errorf("trace %s has no logical trace (-l needs PEi_send.csv files; enable trace.Config.Logical)", dir)
+			return fmt.Errorf("trace %s has no logical trace (-l needs logical records; enable trace.Config.Logical)", dir)
 		case *physical && !set.Config.Physical:
-			return fmt.Errorf("trace %s has no physical trace (-p needs physical.txt; enable trace.Config.Physical)", dir)
+			return fmt.Errorf("trace %s has no physical trace (-p needs physical records; enable trace.Config.Physical)", dir)
 		case *violins && !set.Config.Logical && !set.Config.Physical:
 			return fmt.Errorf("trace %s has neither logical nor physical records; nothing to plot with -violin", dir)
 		case *papiBar && len(set.Config.PAPIEvents) == 0:
-			return fmt.Errorf("trace %s has no PAPI events (-lp needs PEi_PAPI.csv files and papi_events in the meta file)", dir)
+			return fmt.Errorf("trace %s has no PAPI events (-lp needs PAPI records and papi_events in the meta file)", dir)
 		case *overall && !set.Config.Overall:
-			return fmt.Errorf("trace %s has no overall breakdown (-s needs overall.txt; enable trace.Config.Overall)", dir)
-		case *traceEvents != "" && !set.Config.Physical:
-			return fmt.Errorf("trace %s has no physical trace; -trace-events has nothing to export", dir)
+			return fmt.Errorf("trace %s has no overall breakdown (-s needs overall records; enable trace.Config.Overall)", dir)
 		}
 	} else if !set.Config.Logical && !set.Config.Physical && !set.Config.Overall &&
 		len(set.Config.PAPIEvents) == 0 {
@@ -351,7 +370,7 @@ func run(args []string) error {
 		}
 	}
 	if all || *papiBar {
-		// Named user segments (segments.txt), when the trace has any.
+		// Named user segments, when the trace has any.
 		hasSegs := false
 		for _, recs := range set.Segments {
 			if len(recs) > 0 {
@@ -374,26 +393,6 @@ func run(args []string) error {
 			}
 			fmt.Println()
 		}
-	}
-	if *traceEvents != "" {
-		// The chrome://tracing export walks individual physical records:
-		// the one path that still needs the fully materialized Set.
-		full, _, err := trace.ReadSetOptions(dir, trace.ReadOptions{Workers: *workers})
-		if err != nil {
-			return fmt.Errorf("reading trace directory %s: %w", dir, err)
-		}
-		f, err := os.Create(*traceEvents)
-		if err != nil {
-			return err
-		}
-		if err := full.ExportTraceEvents(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote Google Trace Event JSON to %s\n", *traceEvents)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"actorprof/internal/apps"
 	"actorprof/internal/core"
 	"actorprof/internal/sim"
+	"actorprof/internal/trace"
 )
 
 // writeTrace produces a real trace directory for the CLI to consume.
@@ -111,17 +113,19 @@ func TestCLISVGOutput(t *testing.T) {
 	}
 }
 
+// TestCLITraceEvents: the Trace Event export is the export
+// subcommand's default Perfetto document.
 func TestCLITraceEvents(t *testing.T) {
 	dir := writeTrace(t)
 	jsonPath := filepath.Join(t.TempDir(), "events.json")
-	capture(t, func() error { return run([]string{"-trace-events", jsonPath, dir}) })
+	capture(t, func() error { return run([]string{"export", "-out", jsonPath, dir}) })
 	data, err := os.ReadFile(jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := string(data)
-	if !strings.HasPrefix(s, "[") {
-		t.Fatal("trace events not a JSON array")
+	if !strings.HasPrefix(s, `{"traceEvents":[`) {
+		t.Fatal("trace events not a Trace Event JSON object")
 	}
 	for _, want := range []string{`"name":"local_send"`, `"cat":"conveyor"`, `"ph":"i"`} {
 		if !strings.Contains(s, want) {
@@ -173,7 +177,7 @@ func TestCLIDegenerateTraceDirs(t *testing.T) {
 		{
 			name:    "no physical, trace-events requested",
 			files:   map[string]string{"actorprof_meta.txt": meta, "PE0_send.csv": ""},
-			args:    []string{"-trace-events", "out.json"},
+			args:    []string{"export", "-out", "out.json"},
 			wantErr: "nothing to export",
 		},
 		{
@@ -236,5 +240,57 @@ func TestCLIBadArguments(t *testing.T) {
 	dir := writeTrace(t)
 	if err := run([]string{"-lp", "-event", "PAPI_BOGUS", dir}); err == nil {
 		t.Error("expected error for unknown PAPI event")
+	}
+}
+
+// TestCLIExportPaper: -format paper converts an APBF run into the
+// paper's CSV/text files, which read back as the same trace, and
+// refuses to write over the source directory.
+func TestCLIExportPaper(t *testing.T) {
+	dir := writeTrace(t)
+	if _, err := os.Stat(filepath.Join(dir, "PE0_send.bin")); err != nil {
+		t.Fatalf("runs must write APBF: %v", err)
+	}
+	out := filepath.Join(t.TempDir(), "paper")
+	capture(t, func() error { return run([]string{"export", "-format", "paper", "-out", out, dir}) })
+	for _, f := range []string{"PE0_send.csv", "PE0_PAPI.csv", "overall.txt", "physical.txt", "actorprof_meta.txt"} {
+		if _, err := os.Stat(filepath.Join(out, f)); err != nil {
+			t.Errorf("paper export missing %s: %v", f, err)
+		}
+	}
+	if bins, _ := filepath.Glob(filepath.Join(out, "*.bin")); len(bins) != 0 {
+		t.Errorf("paper export wrote APBF files: %v", bins)
+	}
+	src, _, err := trace.ReadSet(dir, trace.ReadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, _, err := trace.ReadSet(out, trace.ReadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// physical.txt has the paper's four fields and no clock column: the
+	// one thing the paper format cannot carry.
+	for _, recs := range src.Physical {
+		for i := range recs {
+			recs[i].Cycles = 0
+		}
+	}
+	if !reflect.DeepEqual(src, back) {
+		t.Fatalf("paper export does not read back as the source trace:\nsource %+v\nexport %+v", src, back)
+	}
+
+	for _, bad := range [][]string{
+		{"export", "-format", "paper", "-out", dir, dir},
+		{"export", "-format", "paper", "-out", filepath.Join(dir, "."), dir},
+		{"export", "-format", "paper", dir},
+		{"export", "-format", "legacy", dir},
+	} {
+		if err := run(bad); err == nil {
+			t.Errorf("run(%q) succeeded, want an error", bad)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "PE0_send.csv")); !os.IsNotExist(err) {
+		t.Errorf("a rejected export wrote into the source directory (stat err: %v)", err)
 	}
 }

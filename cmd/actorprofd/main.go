@@ -17,7 +17,6 @@
 //	/api/runs                              run listing as JSON
 //	/runs/{run}/plots/{kind}.svg           plot as SVG
 //	/runs/{run}/plots/{kind}.json          plot data as JSON
-//	/runs/{run}/trace-events.json          chrome://tracing export (legacy instants)
 //	/runs/{run}/trace.perfetto.json        full-model Perfetto export
 //	/runs/{run}/events?t0=&t1=&lod=        windowed trace query (time-travel)
 //

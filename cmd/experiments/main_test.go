@@ -44,7 +44,7 @@ func TestExperimentsSuiteTinyScale(t *testing.T) {
 	}
 	// Raw traces for the full grid.
 	for _, dir := range []string{"1n_cyclic", "1n_range", "2n_cyclic", "2n_range"} {
-		if _, err := os.Stat(filepath.Join(out, "traces", dir, "overall.txt")); err != nil {
+		if _, err := os.Stat(filepath.Join(out, "traces", dir, "overall.bin")); err != nil {
 			t.Errorf("missing traces/%s: %v", dir, err)
 		}
 	}

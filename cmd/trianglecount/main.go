@@ -2,8 +2,9 @@
 // distributed triangle counting over an R-MAT graph under a chosen row
 // distribution, with ActorProf attached. It validates the count against
 // the serial reference, prints a summary with the case study's headline
-// statistics, and writes the ActorProf trace files (ready for the
-// actorprof visualizer).
+// statistics, and writes the ActorProf trace files as APBF (ready for
+// the actorprof visualizer; actorprof export -format paper converts them
+// to the paper's CSV formats).
 //
 // Usage:
 //
@@ -17,7 +18,6 @@
 //	-dist NAME    cyclic | range | block (default cyclic)
 //	-buf N        conveyor buffer items (default 64)
 //	-out DIR      trace output directory (default actorprof_trace)
-//	-format F     trace file format: csv | binary | both (default csv)
 package main
 
 import (
@@ -50,23 +50,16 @@ func run(args []string) error {
 		dist    = fs.String("dist", "cyclic", "row distribution: cyclic | range | block")
 		buf     = fs.Int("buf", 64, "conveyor aggregation buffer (items)")
 		out     = fs.String("out", "actorprof_trace", "trace output directory")
-		format  = fs.String("format", "csv", "trace file format: csv | binary | both")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	tf, err := trace.ParseFormat(*format)
-	if err != nil {
-		return err
-	}
-	cfg := core.FullTrace()
-	cfg.Format = tf
 	exp := core.TriangleExperiment{
 		Scale: *scale, EdgeFactor: *ef, Seed: *seed,
 		NumPEs: *pes, PEsPerNode: *perNode,
 		Dist:        core.DistKind(*dist),
-		Trace:       cfg,
+		Trace:       core.FullTrace(),
 		BufferItems: *buf,
 	}
 	fmt.Printf("triangle counting: scale=%d ef=%d seed=%d, %d PEs on %d node(s), %s\n",

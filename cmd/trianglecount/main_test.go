@@ -13,7 +13,7 @@ func TestRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"PE0_send.csv", "overall.txt", "physical.txt", "actorprof_meta.txt"} {
+	for _, f := range []string{"PE0_send.bin", "overall.bin", "physical.bin", "actorprof_meta.txt"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Errorf("missing trace file %s: %v", f, err)
 		}

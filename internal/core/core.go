@@ -48,8 +48,9 @@ type Options struct {
 	// collector that writes trace records into this directory as they
 	// are produced instead of buffering them (paper Section VI: traces
 	// can reach 100 GB). The directory is finalized when Run returns;
-	// while the run is still executing, actorprofd (or trace.ReadSetLive)
-	// can ingest the directory and serve the plots live.
+	// while the run is still executing, actorprofd (or trace.ReadSet with
+	// ReadOptions.Tolerant) can ingest the directory and serve the plots
+	// live.
 	StreamDir string
 }
 

@@ -372,7 +372,7 @@ func TestTraceRoundTripThroughFiles(t *testing.T) {
 	if err := rep.Set.WriteFiles(dir); err != nil {
 		t.Fatal(err)
 	}
-	back, err := trace.ReadSet(dir)
+	back, _, err := trace.ReadSet(dir, trace.ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,13 +463,13 @@ func TestPlotsIdenticalAcrossFormats(t *testing.T) {
 		return out
 	}
 
-	fromCSV, err := trace.ReadSet(csvDir)
+	fromCSV, _, err := trace.ReadSet(csvDir, trace.ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := render(fromCSV)
 
-	fromBin, err := trace.ReadSet(binDir)
+	fromBin, _, err := trace.ReadSet(binDir, trace.ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +511,7 @@ func TestRunStreamDirWritesAndFinalizesTrace(t *testing.T) {
 	if set.LogicalSendCount[0] == 0 {
 		t.Error("streaming set lost the logical send counters")
 	}
-	got, err := trace.ReadSet(dir)
+	got, _, err := trace.ReadSet(dir, trace.ReadOptions{})
 	if err != nil {
 		t.Fatalf("reading finalized stream dir: %v", err)
 	}

@@ -78,7 +78,7 @@ func TestWindowQueryAllApps(t *testing.T) {
 			if err != nil {
 				t.Fatalf("no time index after Finalize: %v", err)
 			}
-			ref, err := trace.ReadSet(dir)
+			ref, _, err := trace.ReadSet(dir, trace.ReadOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

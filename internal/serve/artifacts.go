@@ -39,28 +39,28 @@ type artifact struct {
 
 func needLogical(s trace.Source) error {
 	if !s.TraceConfig().Logical {
-		return noData("run has no logical trace (PEi_send.csv)")
+		return noData("run has no logical trace (no logical records)")
 	}
 	return nil
 }
 
 func needPhysical(s trace.Source) error {
 	if !s.TraceConfig().Physical {
-		return noData("run has no physical trace (physical.txt)")
+		return noData("run has no physical trace (no physical records)")
 	}
 	return nil
 }
 
 func needOverall(s trace.Source) error {
 	if !s.TraceConfig().Overall {
-		return noData("run has no overall breakdown (overall.txt)")
+		return noData("run has no overall breakdown (no overall records)")
 	}
 	return nil
 }
 
 func needPAPI(s trace.Source) error {
 	if len(s.TraceConfig().PAPIEvents) == 0 {
-		return noData("run has no PAPI events (PEi_PAPI.csv)")
+		return noData("run has no PAPI events (no papi_events in the meta file)")
 	}
 	return nil
 }

@@ -211,7 +211,12 @@ func TestWindowedEventsEndpoint(t *testing.T) {
 // carry a time index): the endpoint must still answer - via the exact
 // full-scan reference - and say so in both the payload and the metrics.
 func TestEventsFullScanFallback(t *testing.T) {
-	srv, _ := newTestServer(t)
+	root := t.TempDir()
+	writeRunAs(t, root, "run1", trace.FormatCSV)
+	srv, err := New(Config{Root: root})
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := srv.Handler()
 	res, body := get(t, h, "/runs/run1/events?lod=1")
 	if res.StatusCode != http.StatusOK {
@@ -271,8 +276,8 @@ func TestWindowParamErrors(t *testing.T) {
 }
 
 // TestPerfettoEndpoint serves the full-model export over HTTP: a valid
-// JSON object distinct from the legacy instant array, revalidating
-// through the fingerprint ETag like every artifact.
+// JSON object, revalidating through the fingerprint ETag like every
+// artifact.
 func TestPerfettoEndpoint(t *testing.T) {
 	root := t.TempDir()
 	writeIndexedRun(t, root, "ix", 4, 300)
@@ -297,10 +302,6 @@ func TestPerfettoEndpoint(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 || doc.OtherData["clock_domain"] != "cycles" {
 		t.Fatalf("perfetto document malformed: %d events, otherData %v", len(doc.TraceEvents), doc.OtherData)
-	}
-	_, legacy := get(t, h, "/runs/ix/trace-events.json")
-	if legacy == body {
-		t.Error("perfetto export identical to legacy instant export")
 	}
 	etag := res.Header.Get("ETag")
 	if etag == "" {

@@ -46,7 +46,7 @@ type registry struct {
 	root     string
 	ttl      time.Duration // <= 0 disables the snapshot window
 	metrics  *Metrics
-	parseSem chan struct{} // bounds concurrent ReadSetLive calls
+	parseSem chan struct{} // bounds concurrent trace parses
 
 	snapMu   sync.Mutex
 	snapDirs map[string]string
@@ -61,7 +61,7 @@ type runEntry struct {
 	fp      string     // fingerprint the cached parse corresponds to
 	sum     *trace.Summary
 	src     *shardSource // precomputed aggregate view over sum
-	set     *trace.Set   // full records; parsed lazily for trace-events only
+	set     *trace.Set   // full records; parsed lazily for the Perfetto export only
 	skipped int
 	live    bool
 
@@ -179,7 +179,7 @@ func fingerprint(dir string) (fp string, live bool, err error) {
 		if err != nil {
 			continue // racing a concurrent delete; the fingerprint changes anyway
 		}
-		if strings.HasSuffix(e.Name(), ".part") {
+		if strings.HasSuffix(e.Name(), ".part.bin") {
 			live = true
 		}
 		fmt.Fprintf(&b, "%s\x00%d\x00%d\x01", e.Name(), info.Size(), info.ModTime().UnixNano())
@@ -265,7 +265,7 @@ func (r *registry) load(id string) (trace.Source, string, RunInfo, error) {
 }
 
 // loadSet returns the run's fully materialized Set - needed only by the
-// trace-events export, which walks individual physical records. The Set
+// Perfetto export, which walks individual physical records. The Set
 // is parsed lazily and cached next to the Summary under the same
 // fingerprint.
 func (r *registry) loadSet(id string) (*trace.Set, string, error) {
@@ -292,7 +292,7 @@ func (r *registry) setLocked(id, dir string, e *runEntry, fp string, live bool) 
 	if e.set == nil || e.fp != fp {
 		r.parseSem <- struct{}{}
 		start := time.Now()
-		set, skipped, err := trace.ReadSetLive(dir)
+		set, skipped, err := trace.ReadSet(dir, trace.ReadOptions{Tolerant: true})
 		r.metrics.observeParse(time.Since(start), skipped)
 		<-r.parseSem
 		if err != nil {

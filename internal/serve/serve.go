@@ -118,7 +118,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /api/runs", s.handleRuns)
 	mux.HandleFunc("GET /runs/{run}/plots/{plot}", s.handlePlot)
-	mux.HandleFunc("GET /runs/{run}/trace-events.json", s.handleTraceEvents)
 	mux.HandleFunc("GET /runs/{run}/trace.perfetto.json", s.handlePerfetto)
 	mux.HandleFunc("GET /runs/{run}/events", s.handleEvents)
 	mux.HandleFunc("GET /runs/{run}/whatif", s.handleWhatIf)
@@ -403,33 +402,6 @@ func splitPlotName(name string) (kind, format string, ok bool) {
 	return kind, format, known
 }
 
-// handleTraceEvents serves the physical trace as Google Trace Event JSON
-// (loadable in chrome://tracing / Perfetto), cached like any plot. This
-// is the one endpoint that walks individual records, so it is the one
-// place the full Set is materialized (lazily, via loadSet).
-func (s *Server) handleTraceEvents(w http.ResponseWriter, r *http.Request) {
-	runID := r.PathValue("run")
-	set, fp, err := s.reg.loadSet(runID)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if !set.Config.Physical {
-		s.fail(w, noData("run has no physical trace; nothing to export"))
-		return
-	}
-	key := strings.Join([]string{runID, fp, "trace-events"}, "\x00")
-	s.serveArtifact(w, r, key, etagFor(runID, fp, "trace-events"), func() (renderResult, error) {
-		start := time.Now()
-		defer func() { s.metrics.observeRender(time.Since(start)) }()
-		var buf bytes.Buffer
-		if err := set.ExportTraceEvents(&buf); err != nil {
-			return renderResult{}, err
-		}
-		return withGzip(renderResult{data: buf.Bytes(), contentType: "application/json"}, s.cfg.GzipMinBytes), nil
-	})
-}
-
 // handlePerfetto serves the full-model Perfetto / chrome://tracing
 // export: duration pairs per handler slot, backlog counters, and
 // process/thread metadata, streamed from the materialized Set.
@@ -582,7 +554,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		}
 		for _, f := range info.Features {
 			if f == "physical" {
-				fmt.Fprintf(&b, `<li><a href="/runs/%s/trace-events.json">trace-events.json</a> (chrome://tracing, legacy instants)</li>`+"\n", info.ID)
 				fmt.Fprintf(&b, `<li><a href="/runs/%s/trace.perfetto.json">trace.perfetto.json</a> (Perfetto full model)</li>`+"\n", info.ID)
 				fmt.Fprintf(&b, `<li><a href="/runs/%s/events?lod=1">events?t0=&amp;t1=&amp;lod=</a> (windowed query)</li>`+"\n", info.ID)
 			}

@@ -24,7 +24,10 @@ import (
 )
 
 // writeRun produces a finished trace directory named id under root.
-func writeRun(t *testing.T, root, id string) {
+func writeRun(t *testing.T, root, id string) { writeRunAs(t, root, id, trace.FormatBinary) }
+
+// writeRunAs is writeRun in the given on-disk format.
+func writeRunAs(t *testing.T, root, id string, format trace.Format) {
 	t.Helper()
 	set, err := core.Run(core.Options{
 		Machine: sim.Machine{NumPEs: 8, PEsPerNode: 4},
@@ -38,6 +41,7 @@ func writeRun(t *testing.T, root, id string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	set.Config.Format = format
 	if err := set.WriteFiles(filepath.Join(root, id)); err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +101,14 @@ func TestServesAllPlotFamilies(t *testing.T) {
 			}
 		}
 	}
-	// The chrome://tracing export rides along with the plot families.
-	res, body := get(t, h, "/runs/run1/trace-events.json")
-	if res.StatusCode != http.StatusOK || !strings.HasPrefix(body, "[") {
-		t.Errorf("trace-events: status %d, body %.40q", res.StatusCode, body)
+	// The Perfetto export rides along with the plot families; it is the
+	// only Trace Event route.
+	res, body := get(t, h, "/runs/run1/trace.perfetto.json")
+	if res.StatusCode != http.StatusOK || !strings.HasPrefix(body, `{"traceEvents":[`) {
+		t.Errorf("trace.perfetto.json: status %d, body %.40q", res.StatusCode, body)
+	}
+	if res, _ := get(t, h, "/runs/run1/trace-events.json"); res.StatusCode != http.StatusNotFound {
+		t.Errorf("removed trace-events.json route answered %d, want 404", res.StatusCode)
 	}
 }
 
@@ -157,7 +165,7 @@ func TestMissingFeatureIs404(t *testing.T) {
 	for _, path := range []string{
 		"/runs/partial/plots/physical-heatmap.svg",
 		"/runs/partial/plots/overall-absolute.json",
-		"/runs/partial/trace-events.json",
+		"/runs/partial/trace.perfetto.json",
 	} {
 		res, body := get(t, h, path)
 		if res.StatusCode != http.StatusNotFound {

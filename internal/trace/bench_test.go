@@ -111,7 +111,7 @@ func BenchmarkReadSet(b *testing.B) {
 			b.ResetTimer()
 			var records int
 			for i := 0; i < b.N; i++ {
-				set, err := ReadSet(dir)
+				set, _, err := ReadSet(dir, ReadOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

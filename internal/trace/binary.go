@@ -81,37 +81,34 @@ type binWriter struct {
 	cols  [][]int64
 	strs  []string
 	n     int
-	tmp   [binary.MaxVarintLen64]byte
-	err   error
+	// enc is the varint scratch: the header, then each block's row
+	// count and strings, then each of its columns, is encoded here and
+	// handed to w in one Write instead of one Write per value.
+	enc []byte
+	err error
 }
 
 // newBinWriter writes the header and returns an encoder for kind/ncols.
 func newBinWriter(w *bufio.Writer, kind byte, ncols int) *binWriter {
-	b := &binWriter{w: w, ncols: ncols, cols: make([][]int64, ncols)}
+	b := &binWriter{
+		w: w, ncols: ncols, cols: make([][]int64, ncols),
+		enc: make([]byte, 0, binBlockRows*binary.MaxVarintLen64),
+	}
+	backing := make([]int64, ncols*binBlockRows) // one array for every column's block
 	for i := range b.cols {
-		b.cols[i] = make([]int64, 0, binBlockRows)
+		b.cols[i] = backing[i*binBlockRows : i*binBlockRows : (i+1)*binBlockRows]
 	}
-	if _, err := w.WriteString(binMagic); err != nil {
-		b.err = err
-	}
-	b.writeByte(binVersion)
-	b.writeByte(kind)
-	b.writeUvarint(uint64(ncols))
+	enc := append(b.enc, binMagic...)
+	enc = append(enc, binVersion, kind)
+	b.write(binary.AppendUvarint(enc, uint64(ncols)))
 	return b
 }
 
-func (b *binWriter) writeByte(c byte) {
+// write hands p to the underlying writer unless an error is pending.
+func (b *binWriter) write(p []byte) {
 	if b.err == nil {
-		b.err = b.w.WriteByte(c)
+		_, b.err = b.w.Write(p)
 	}
-}
-
-func (b *binWriter) writeUvarint(u uint64) {
-	if b.err != nil {
-		return
-	}
-	n := binary.PutUvarint(b.tmp[:], u)
-	_, b.err = b.w.Write(b.tmp[:n])
 }
 
 // push appends one row. vals must have exactly ncols entries (the
@@ -137,19 +134,21 @@ func (b *binWriter) flushBlock() {
 	if b.n == 0 {
 		return
 	}
-	b.writeUvarint(uint64(b.n))
+	enc := binary.AppendUvarint(b.enc[:0], uint64(b.n))
 	for _, s := range b.strs {
-		b.writeUvarint(uint64(len(s)))
-		if b.err == nil {
-			_, b.err = b.w.WriteString(s)
-		}
+		enc = binary.AppendUvarint(enc, uint64(len(s)))
+		enc = append(enc, s...)
 	}
-	for c := range b.cols {
-		for _, v := range b.cols[c] {
-			b.writeUvarint(zigzag(v))
+	b.write(enc)
+	for c, col := range b.cols {
+		enc = enc[:0]
+		for _, v := range col {
+			enc = binary.AppendUvarint(enc, zigzag(v))
 		}
-		b.cols[c] = b.cols[c][:0]
+		b.write(enc)
+		b.cols[c] = col[:0]
 	}
+	b.enc = enc[:0]
 	b.strs = b.strs[:0]
 	b.n = 0
 }
@@ -325,6 +324,18 @@ func scanBin(d *binReader, withStrings bool, tolerant bool, row func(i int) erro
 	}
 }
 
+// papiRow fills row (7 columns plus one per configured event) with r.
+// Columnar blocks need a uniform width; ragged counter lists (possible
+// only in hand-edited CSV) pad with zeros or truncate.
+func papiRow(row []int64, r PAPIRecord) []int64 {
+	row[0], row[1] = int64(r.SrcNode), int64(r.SrcPE)
+	row[2], row[3] = int64(r.DstNode), int64(r.DstPE)
+	row[4], row[5], row[6] = int64(r.PktSize), int64(r.MailboxID), int64(r.NumSends)
+	clear(row[7:])
+	copy(row[7:], r.Counters)
+	return row
+}
+
 // Per-kind binary scanners, mirroring the CSV scanners in fastio.go.
 
 func scanLogicalBin(br *bufio.Reader, path string, npes int, tolerant bool, yield func(LogicalRecord)) (int, error) {
@@ -411,12 +422,15 @@ func scanOverallBin(br *bufio.Reader, path string, tolerant bool, yield func(Ove
 	})
 }
 
-func scanSegmentsBin(br *bufio.Reader, path string, tolerant bool, yield func(SegmentRecord)) (int, error) {
+func scanSegmentsBin(br *bufio.Reader, path string, npes int, tolerant bool, yield func(SegmentRecord)) (int, error) {
 	d, err := newBinReader(br, path, binKindSegments, 3)
 	if err != nil {
 		return binHeaderErr(err, tolerant)
 	}
 	return scanBin(d, true, tolerant, func(i int) error {
+		if err := checkSegmentPE(int(d.cols[0][i]), npes); err != nil {
+			return err
+		}
 		counters := d.counters(d.ncols - 3)
 		for c := 3; c < d.ncols; c++ {
 			counters[c-3] = d.cols[c][i]

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"actorprof/internal/conveyor"
-	"actorprof/internal/stats"
 )
 
 // Byte-level CSV codecs for the hot per-record trace files. The seed
@@ -294,7 +293,7 @@ func sendKindOf(tok []byte) (conveyor.SendKind, bool) {
 	return 0, false
 }
 
-// scanPhysicalCSV streams physical.txt (or .part) records into yield.
+// scanPhysicalCSV streams physical.txt records into yield.
 func scanPhysicalCSV(r io.Reader, npes int, tolerant bool, scratch *csvScratch, yield func(PhysicalRecord)) (int, error) {
 	skipped := 0
 	sc := newLineScanner(r)
@@ -408,7 +407,3 @@ func appendSegment(buf []byte, r SegmentRecord, eventNames []string) []byte {
 	}
 	return append(buf, '\n')
 }
-
-// foldMsgBytes observes one logical record's payload size into a
-// streaming accumulator (the Summary's message-size statistics).
-func foldMsgBytes(s *stats.Stream, r LogicalRecord) { s.Observe(int64(r.MsgSize)) }

@@ -71,7 +71,7 @@ func recordsEqual(t *testing.T, label string, a, b *Set) {
 // per-PE file is one task writing its own slot and slots merge in file
 // order.
 func TestParallelReadMatchesSequential(t *testing.T) {
-	for _, format := range []Format{FormatCSV, FormatBinary, FormatBoth} {
+	for _, format := range []Format{FormatCSV, FormatBinary} {
 		t.Run("format="+format.String(), func(t *testing.T) {
 			set := fullSet(t, 8)
 			set.Config.Format = format
@@ -79,7 +79,7 @@ func TestParallelReadMatchesSequential(t *testing.T) {
 			if err := set.WriteFiles(dir); err != nil {
 				t.Fatal(err)
 			}
-			seq, skippedSeq, err := ReadSetOptions(dir, ReadOptions{Workers: 1})
+			seq, skippedSeq, err := ReadSet(dir, ReadOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +87,7 @@ func TestParallelReadMatchesSequential(t *testing.T) {
 				t.Fatalf("sequential read skipped %d records of a clean dir", skippedSeq)
 			}
 			for _, workers := range []int{0, 2, 3, 7, 16} {
-				par, skipped, err := ReadSetOptions(dir, ReadOptions{Workers: workers})
+				par, skipped, err := ReadSet(dir, ReadOptions{Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -105,6 +105,7 @@ func TestParallelReadMatchesSequential(t *testing.T) {
 // same records and the same skip count.
 func TestParallelReadTolerantSkippedStable(t *testing.T) {
 	set := fullSet(t, 8)
+	set.Config.Format = FormatCSV // the corruption below is line-oriented
 	dir := t.TempDir()
 	if err := set.WriteFiles(dir); err != nil {
 		t.Fatal(err)
@@ -129,7 +130,7 @@ func TestParallelReadTolerantSkippedStable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seq, skippedSeq, err := ReadSetOptions(dir, ReadOptions{Tolerant: true, Workers: 1})
+	seq, skippedSeq, err := ReadSet(dir, ReadOptions{Tolerant: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestParallelReadTolerantSkippedStable(t *testing.T) {
 		t.Fatalf("sequential tolerant read skipped %d, want 3", skippedSeq)
 	}
 	for _, workers := range []int{0, 2, 5} {
-		par, skipped, err := ReadSetOptions(dir, ReadOptions{Tolerant: true, Workers: workers})
+		par, skipped, err := ReadSet(dir, ReadOptions{Tolerant: true, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -148,7 +149,7 @@ func TestParallelReadTolerantSkippedStable(t *testing.T) {
 	}
 	// Strict mode must fail on the same corruption, with any worker count.
 	for _, workers := range []int{1, 4} {
-		if _, _, err := ReadSetOptions(dir, ReadOptions{Workers: workers}); err == nil {
+		if _, _, err := ReadSet(dir, ReadOptions{Workers: workers}); err == nil {
 			t.Fatalf("workers=%d: strict read accepted corrupted shards", workers)
 		}
 	}
@@ -159,12 +160,13 @@ func TestParallelReadTolerantSkippedStable(t *testing.T) {
 // for all five record kinds.
 func TestFormatRoundTripByteIdentical(t *testing.T) {
 	set := fullSet(t, 6)
+	set.Config.Format = FormatCSV
 	csvDir := t.TempDir()
 	if err := set.WriteFiles(csvDir); err != nil {
 		t.Fatal(err)
 	}
 
-	fromCSV, err := ReadSet(csvDir)
+	fromCSV, _, err := ReadSet(csvDir, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func TestFormatRoundTripByteIdentical(t *testing.T) {
 		}
 	}
 
-	fromBin, err := ReadSet(binDir)
+	fromBin, _, err := ReadSet(binDir, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +245,11 @@ func TestBinaryDetectedByContentNotName(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	direct, err := ReadSet(binDir)
+	direct, _, err := ReadSet(binDir, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sniffed, err := ReadSet(mixDir)
+	sniffed, _, err := ReadSet(mixDir, ReadOptions{})
 	if err != nil {
 		t.Fatalf("binary content under CSV names not auto-detected: %v", err)
 	}
@@ -260,6 +262,7 @@ func TestBinaryDetectedByContentNotName(t *testing.T) {
 // as skipped.
 func TestSegmentsOutOfRangePE(t *testing.T) {
 	set := fullSet(t, 2)
+	set.Config.Format = FormatCSV // the rogue record below is a segments.txt line
 	dir := t.TempDir()
 	if err := set.WriteFiles(dir); err != nil {
 		t.Fatal(err)
@@ -274,13 +277,13 @@ func TestSegmentsOutOfRangePE(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := ReadSet(dir); err == nil {
+	if _, _, err := ReadSet(dir, ReadOptions{}); err == nil {
 		t.Fatal("strict read accepted a segment record with PE 9 in a 2-PE trace")
 	} else if !strings.Contains(err.Error(), "outside") {
 		t.Fatalf("error should name the PE range violation, got: %v", err)
 	}
 
-	back, skipped, err := ReadSetLive(dir)
+	back, skipped, err := ReadSet(dir, ReadOptions{Tolerant: true})
 	if err != nil {
 		t.Fatalf("tolerant read must skip, not fail: %v", err)
 	}
@@ -295,10 +298,9 @@ func TestSegmentsOutOfRangePE(t *testing.T) {
 	}
 }
 
-// TestStreamingCollectorBinaryFormats drives the streaming collector in
-// binary and both modes: the read-back records must match a buffered
-// collector fed the same events, and "both" must write each
-// representation.
+// TestStreamingCollectorBinaryFormats drives the streaming collector:
+// the read-back records must match a buffered collector fed the same
+// events.
 func TestStreamingCollectorBinaryFormats(t *testing.T) {
 	baseCfg := Config{
 		Logical: true, Physical: true, Overall: true,
@@ -328,37 +330,44 @@ func TestStreamingCollectorBinaryFormats(t *testing.T) {
 	feed(buffered)
 	want := buffered.Set()
 
-	for _, format := range []Format{FormatBinary, FormatBoth} {
-		t.Run("format="+format.String(), func(t *testing.T) {
-			cfg := baseCfg
-			cfg.Format = format
-			dir := t.TempDir()
-			c, err := NewStreamingCollector(cfg, m, dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feed(c)
-			if err := c.Finalize(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, logicalBinFile(0))); err != nil {
-				t.Fatalf("binary logical shard missing: %v", err)
-			}
-			if format == FormatBoth {
-				if _, err := os.Stat(filepath.Join(dir, logicalFile(0))); err != nil {
-					t.Fatalf("both-mode CSV logical shard missing: %v", err)
-				}
-			}
-			leftovers, _ := filepath.Glob(filepath.Join(dir, "*.part*"))
-			if len(leftovers) != 0 {
-				t.Fatalf("part files not cleaned up: %v", leftovers)
-			}
-			back, err := ReadSet(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recordsEqual(t, format.String(), want, back)
-		})
+	t.Run("format=binary", func(t *testing.T) {
+		dir := t.TempDir()
+		c, err := NewStreamingCollector(baseCfg, m, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(c)
+		if err := c.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, logicalBinFile(0))); err != nil {
+			t.Fatalf("binary logical shard missing: %v", err)
+		}
+		leftovers, _ := filepath.Glob(filepath.Join(dir, "*.part*"))
+		if len(leftovers) != 0 {
+			t.Fatalf("part files not cleaned up: %v", leftovers)
+		}
+		back, _, err := ReadSet(dir, ReadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recordsEqual(t, "binary", want, back)
+	})
+}
+
+// TestStreamingCollectorRejectsCSV: runs write APBF only; the paper's
+// CSV comes from converting a finished directory, and the error says so.
+func TestStreamingCollectorRejectsCSV(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	_, err := NewStreamingCollector(Config{Logical: true, Format: FormatCSV}, machine(2, 2), dir)
+	if err == nil {
+		t.Fatal("streaming collector accepted FormatCSV")
+	}
+	if !strings.Contains(err.Error(), "actorprof export -format paper") {
+		t.Fatalf("error does not point at the paper export: %v", err)
+	}
+	if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
+		t.Fatalf("rejected collector still created %s (stat err: %v)", dir, statErr)
 	}
 }
 
@@ -423,5 +432,67 @@ func TestAggregateCollectorMatchesBuffered(t *testing.T) {
 	// WriteFiles needs raw records and must refuse the aggregate set.
 	if err := got.WriteFiles(t.TempDir()); err == nil {
 		t.Fatal("WriteFiles accepted an aggregate-mode set")
+	}
+}
+
+// TestPaperFormatGolden pins the paper's CSV/text formats byte for byte:
+// WriteFiles under FormatCSV must reproduce testdata/paper/ exactly, so
+// traces stay interchangeable with the C++ ActorProf. Run with -update
+// to rewrite the golden directory after verifying an intended change.
+func TestPaperFormatGolden(t *testing.T) {
+	set := fullSet(t, 3)
+	set.Config.Format = FormatCSV
+	dir := t.TempDir()
+	if err := set.WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "paper")
+	if *updateGolden {
+		if err := os.RemoveAll(golden); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(golden, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := func(d string) []string {
+		entries, err := os.ReadDir(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range entries {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+	if *updateGolden {
+		for _, name := range names(dir) {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(golden, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return
+	}
+	got, want := names(dir), names(golden)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("paper export writes %v, golden holds %v", got, want)
+	}
+	for _, name := range want {
+		w, err := os.ReadFile(filepath.Join(golden, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(g) != string(w) {
+			t.Errorf("%s drifted from testdata/paper:\nwant:\n%s\ngot:\n%s", name, w, g)
+		}
 	}
 }

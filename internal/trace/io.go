@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -11,8 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"actorprof/internal/papi"
 )
 
 // File naming, matching the paper's formats.
@@ -26,32 +23,14 @@ const (
 	metaFile     = "actorprof_meta.txt"
 )
 
-// ReadOptions tunes ReadSetOptions / ReadSummary / Accumulate.
-type ReadOptions struct {
-	// Tolerant makes malformed lines (the torn tail of a file a streaming
-	// collector is still appending to) count as skipped instead of fatal,
-	// and merges unassembled physical .part files. This is ReadSetLive's
-	// behavior; the default (false) is ReadSet's strict behavior.
-	Tolerant bool
-	// Workers bounds the parse worker pool. <= 0 means GOMAXPROCS. The
-	// result is identical for every worker count: each per-PE file is one
-	// task writing into its own slot, and slots merge in file order.
-	Workers int
-}
-
-func (o ReadOptions) workers() int {
-	if o.Workers <= 0 {
-		return defaultWorkers()
-	}
-	return o.Workers
-}
-
-// WriteFiles writes every enabled trace to dir in the formats selected
-// by Config.Format: the paper's text formats (per-PE PEi_send.csv and
-// PEi_PAPI.csv, shared overall.txt/physical.txt/segments.txt), the
-// binary columnar *.bin siblings, or both. actorprof_meta.txt (run
-// parameters: number of PEs, PEs per node, PAPI event names) is always
-// text; the readers need it first. Per-PE files are written in parallel.
+// WriteFiles writes every enabled trace to dir in the format selected
+// by Config.Format: the binary columnar APBF files (per-PE PEi_send.bin
+// and PEi_PAPI.bin, shared overall.bin/physical.bin/segments.bin) by
+// default, or the paper's text formats (PEi_send.csv, PEi_PAPI.csv,
+// overall.txt, physical.txt, segments.txt) under FormatCSV.
+// actorprof_meta.txt (run parameters: number of PEs, PEs per node, PAPI
+// event names) is always text; the readers need it first. Files are
+// written in parallel.
 func (s *Set) WriteFiles(dir string) error {
 	if s.Config.Aggregate {
 		return fmt.Errorf("trace: WriteFiles needs raw records, but the set was collected with Config.Aggregate (only matrices were kept)")
@@ -62,61 +41,36 @@ func (s *Set) WriteFiles(dir string) error {
 	if err := s.writeMeta(dir); err != nil {
 		return err
 	}
-	format := s.Config.Format
+	writeLogical, writePAPI := s.writeLogicalBin, s.writePAPIBin
+	writeOverall, writePhysical, writeSegments := s.writeOverallBin, s.writePhysicalBin, s.writeSegmentsBin
+	if s.Config.Format == FormatCSV {
+		writeLogical, writePAPI = s.writeLogical, s.writePAPI
+		writeOverall, writePhysical, writeSegments = s.writeOverall, s.writePhysical, s.writeSegments
+	}
 	var jobs []func() error
 	if s.Config.Logical {
 		for pe := 0; pe < s.NumPEs; pe++ {
 			pe := pe
-			if format.csv() {
-				jobs = append(jobs, func() error { return s.writeLogical(dir, pe) })
-			}
-			if format.binary() {
-				jobs = append(jobs, func() error { return s.writeLogicalBin(dir, pe) })
-			}
+			jobs = append(jobs, func() error { return writeLogical(dir, pe) })
 		}
 	}
 	if len(s.Config.PAPIEvents) > 0 {
 		for pe := 0; pe < s.NumPEs; pe++ {
 			pe := pe
-			if format.csv() {
-				jobs = append(jobs, func() error { return s.writePAPI(dir, pe) })
-			}
-			if format.binary() {
-				jobs = append(jobs, func() error { return s.writePAPIBin(dir, pe) })
-			}
+			jobs = append(jobs, func() error { return writePAPI(dir, pe) })
 		}
 	}
 	if s.Config.Overall {
-		if format.csv() {
-			jobs = append(jobs, func() error { return s.writeOverall(dir) })
-		}
-		if format.binary() {
-			jobs = append(jobs, func() error { return s.writeOverallBin(dir) })
-		}
+		jobs = append(jobs, func() error { return writeOverall(dir) })
 	}
 	if s.Config.Physical {
-		if format.csv() {
-			jobs = append(jobs, func() error { return s.writePhysical(dir) })
-		}
-		if format.binary() {
-			jobs = append(jobs, func() error { return s.writePhysicalBin(dir) })
-		}
+		jobs = append(jobs, func() error { return writePhysical(dir) })
 	}
 	if s.hasSegments() {
-		if format.csv() {
-			jobs = append(jobs, func() error { return s.writeSegments(dir) })
-		}
-		if format.binary() {
-			jobs = append(jobs, func() error { return s.writeSegmentsBin(dir) })
-		}
+		jobs = append(jobs, func() error { return writeSegments(dir) })
 	}
 	errs := make([]error, len(jobs))
-	tasks := make([]func(), len(jobs))
-	for i := range jobs {
-		i := i
-		tasks[i] = func() { errs[i] = jobs[i]() }
-	}
-	runTasks(defaultWorkers(), tasks)
+	runTasks(defaultWorkers(), len(jobs), func(i, _ int) { errs[i] = jobs[i]() })
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -204,7 +158,7 @@ func parseSegmentLine(line string, nEvents int) (SegmentRecord, error) {
 	return rec, nil
 }
 
-func scanSegmentsCSV(r io.Reader, nEvents int, tolerant bool, yield func(SegmentRecord)) (int, error) {
+func scanSegmentsCSV(r io.Reader, nEvents, npes int, tolerant bool, yield func(SegmentRecord)) (int, error) {
 	skipped := 0
 	sc := newLineScanner(r)
 	for sc.Scan() {
@@ -213,6 +167,9 @@ func scanSegmentsCSV(r io.Reader, nEvents int, tolerant bool, yield func(Segment
 			continue
 		}
 		rec, err := parseSegmentLine(line, nEvents)
+		if err == nil {
+			err = checkSegmentPE(rec.PE, npes)
+		}
 		if err != nil {
 			if tolerant {
 				skipped++
@@ -297,19 +254,7 @@ func (s *Set) writePAPIBin(dir string, pe int) error {
 	return writeBinFile(filepath.Join(dir, papiBinFile(pe)), binKindPAPI, 7+nev, func(b *binWriter) {
 		row := make([]int64, 7+nev)
 		for _, r := range s.PAPI[pe] {
-			row[0], row[1] = int64(r.SrcNode), int64(r.SrcPE)
-			row[2], row[3] = int64(r.DstNode), int64(r.DstPE)
-			row[4], row[5], row[6] = int64(r.PktSize), int64(r.MailboxID), int64(r.NumSends)
-			// Columnar blocks need a uniform width; ragged counter lists
-			// (possible only in hand-edited CSV) pad with zeros / truncate.
-			for i := 0; i < nev; i++ {
-				if i < len(r.Counters) {
-					row[7+i] = r.Counters[i]
-				} else {
-					row[7+i] = 0
-				}
-			}
-			b.push(row...)
+			b.push(papiRow(row, r)...)
 		}
 	})
 }
@@ -360,435 +305,20 @@ func (s *Set) writePhysicalBin(dir string) error {
 			for _, r := range s.Physical[pe] {
 				b.push(int64(r.Kind), int64(r.BufBytes), int64(r.SrcPE), int64(r.DstPE), r.Cycles)
 			}
+			// End each PE's records on a block boundary, as the streaming
+			// collector's per-PE parts do, so a buffered and a streamed
+			// run write the same physical.bin bytes.
+			b.flushBlock()
 		}
 	})
 }
 
-// ReadSet loads a trace directory written by WriteFiles back into a Set.
-// Missing optional files simply leave the corresponding feature disabled,
-// so the visualizer can work with partial trace directories. Every line
-// must parse: a malformed record is an error. For directories a streaming
-// collector is still writing into, use ReadSetLive instead.
-func ReadSet(dir string) (*Set, error) {
-	s, _, err := readSet(dir, ReadOptions{})
-	return s, err
-}
-
-// ReadSetLive loads a trace directory that may still be being written by
-// a streaming collector. Unlike ReadSet it tolerates the artifacts of a
-// run in progress: malformed lines (the torn tail a concurrent writer
-// has only partially flushed) are skipped rather than fatal, and when
-// physical.txt has not been assembled yet the per-PE physical.PE*.part
-// files are merged in its place. It returns the number of lines skipped;
-// a nonzero count on a *finished* directory indicates corruption that
-// ReadSet would have reported as an error.
-func ReadSetLive(dir string) (*Set, int, error) {
-	return readSet(dir, ReadOptions{Tolerant: true})
-}
-
-// ReadSetOptions is ReadSet/ReadSetLive with explicit options. For every
-// worker count (including 1) it returns an identical Set, identical
-// skipped count, and - on malformed input - the same error a sequential
-// read would report first.
-func ReadSetOptions(dir string, opts ReadOptions) (*Set, int, error) {
-	return readSet(dir, opts)
-}
-
-// fileResult is one parse task's result slot (DESIGN.md §10): the task
-// that fills it is its only writer, and the merge reads it only after
-// the worker pool has drained.
-type fileResult[T any] struct {
-	recs    []T
-	skipped int
-	found   bool
-	err     error
-}
-
-// openShard opens the first existing candidate path and sniffs whether
-// its content is the binary format (by magic, so auto-detection works
-// regardless of file extension). The returned reader replays the
-// sniffed head; CSV scanners consume it directly (the line scanner is
-// the only buffer layer), the binary decoder wraps it in a
-// bufio.Reader. Returns os.IsNotExist-able error when no candidate
-// exists.
-func openShard(candidates ...string) (*os.File, io.Reader, bool, error) {
-	var lastErr error = os.ErrNotExist
-	for _, p := range candidates {
-		f, err := os.Open(p)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		head := make([]byte, 4)
-		n, err := io.ReadFull(f, head)
-		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			f.Close()
-			return nil, nil, false, err
-		}
-		if n == 4 && string(head) == binMagic {
-			// Rewind so the binary branch's bufio.Reader is the only
-			// buffer layer between decoder and file.
-			if _, err := f.Seek(0, io.SeekStart); err != nil {
-				f.Close()
-				return nil, nil, false, err
-			}
-			return f, f, true, nil
-		}
-		return f, io.MultiReader(bytes.NewReader(head[:n]), f), false, nil
+// checkSegmentPE is checkPERange for segment records, which name one PE.
+func checkSegmentPE(pe, npes int) error {
+	if pe < 0 || pe >= npes {
+		return fmt.Errorf("trace: segments record with PE %d outside [0, %d)", pe, npes)
 	}
-	return nil, nil, false, lastErr
-}
-
-// The scan*Shard functions are the primitive per-file readers: they
-// resolve the binary/CSV candidates for one artifact, sniff the format,
-// and stream records into yield without materializing them. readSet
-// wraps them with slice-collecting yields; ReadSummary and Accumulate
-// fold records directly.
-
-func scanLogicalShard(dir string, pe, npes int, tolerant bool, yield func(LogicalRecord)) (bool, int, error) {
-	f, br, isBin, err := openShard(filepath.Join(dir, logicalBinFile(pe)), filepath.Join(dir, logicalFile(pe)))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, 0, nil
-		}
-		return false, 0, err
-	}
-	defer f.Close()
-	if isBin {
-		n, err := scanLogicalBin(bufio.NewReaderSize(br, 64<<10), f.Name(), npes, tolerant, yield)
-		return true, n, err
-	}
-	var scratch csvScratch
-	n, err := scanLogicalCSV(br, npes, tolerant, &scratch, yield)
-	return true, n, err
-}
-
-func scanPAPIShard(dir string, pe, nEvents, npes int, tolerant bool, yield func(PAPIRecord)) (bool, int, error) {
-	f, br, isBin, err := openShard(filepath.Join(dir, papiBinFile(pe)), filepath.Join(dir, papiFile(pe)))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, 0, nil
-		}
-		return false, 0, err
-	}
-	defer f.Close()
-	if isBin {
-		n, err := scanPAPIBin(bufio.NewReaderSize(br, 64<<10), f.Name(), npes, tolerant, yield)
-		return true, n, err
-	}
-	var scratch csvScratch
-	n, err := scanPAPICSV(br, nEvents, npes, tolerant, &scratch, yield)
-	return true, n, err
-}
-
-func scanOverallShard(dir string, tolerant bool, yield func(OverallRecord)) (bool, int, error) {
-	f, br, isBin, err := openShard(filepath.Join(dir, overallBinFile), filepath.Join(dir, overallFile))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, 0, nil
-		}
-		return false, 0, err
-	}
-	defer f.Close()
-	if isBin {
-		n, err := scanOverallBin(bufio.NewReaderSize(br, 64<<10), f.Name(), tolerant, yield)
-		return true, n, err
-	}
-	n, err := scanOverallCSV(br, tolerant, yield)
-	return true, n, err
-}
-
-// scanPhysicalShard reads the assembled physical file. When part is >=
-// 0 it instead reads that PE's unassembled .part file (always
-// tolerantly: its tail is being appended to while we read).
-func scanPhysicalShard(dir string, part, npes int, tolerant bool, yield func(PhysicalRecord)) (bool, int, error) {
-	var candidates []string
-	if part >= 0 {
-		tolerant = true
-		candidates = []string{filepath.Join(dir, physicalPartBin(part)), filepath.Join(dir, physicalPart(part))}
-	} else {
-		candidates = []string{filepath.Join(dir, physicalBinFile), filepath.Join(dir, physicalFile)}
-	}
-	f, br, isBin, err := openShard(candidates...)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, 0, nil
-		}
-		return false, 0, err
-	}
-	defer f.Close()
-	if isBin {
-		n, err := scanPhysicalBin(bufio.NewReaderSize(br, 64<<10), f.Name(), npes, tolerant, yield)
-		return true, n, err
-	}
-	var scratch csvScratch
-	n, err := scanPhysicalCSV(br, npes, tolerant, &scratch, yield)
-	return true, n, err
-}
-
-func scanSegmentsShard(dir string, nEvents int, tolerant bool, yield func(SegmentRecord)) (bool, int, error) {
-	f, br, isBin, err := openShard(filepath.Join(dir, segmentsBinFile), filepath.Join(dir, segmentsFile))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, 0, nil
-		}
-		return false, 0, err
-	}
-	defer f.Close()
-	if isBin {
-		n, err := scanSegmentsBin(bufio.NewReaderSize(br, 64<<10), f.Name(), tolerant, yield)
-		return true, n, err
-	}
-	n, err := scanSegmentsCSV(br, nEvents, tolerant, yield)
-	return true, n, err
-}
-
-// recordCapHint estimates a shard's record count from its on-disk size
-// so the collecting readers allocate once instead of growing through
-// append doublings. Each perRec is a conservative (low) bytes-per-record
-// figure for that format; over-estimating capacity slightly is fine,
-// re-growing is the cost we avoid.
-func recordCapHint(binPath string, binPerRec int, csvPath string, csvPerRec int) int {
-	if fi, err := os.Stat(binPath); err == nil {
-		return int(fi.Size())/binPerRec + 1
-	}
-	if fi, err := os.Stat(csvPath); err == nil {
-		return int(fi.Size())/csvPerRec + 1
-	}
-	return 0
-}
-
-func readLogicalShard(dir string, pe, npes int, tolerant bool) (res fileResult[LogicalRecord]) {
-	if hint := recordCapHint(filepath.Join(dir, logicalBinFile(pe)), 4, filepath.Join(dir, logicalFile(pe)), 10); hint > 0 {
-		res.recs = make([]LogicalRecord, 0, hint)
-	}
-	res.found, res.skipped, res.err = scanLogicalShard(dir, pe, npes, tolerant,
-		func(r LogicalRecord) { res.recs = append(res.recs, r) })
-	return res
-}
-
-func readPAPIShard(dir string, pe, nEvents, npes int, tolerant bool) (res fileResult[PAPIRecord]) {
-	if hint := recordCapHint(filepath.Join(dir, papiBinFile(pe)), 8, filepath.Join(dir, papiFile(pe)), 20); hint > 0 {
-		res.recs = make([]PAPIRecord, 0, hint)
-	}
-	res.found, res.skipped, res.err = scanPAPIShard(dir, pe, nEvents, npes, tolerant,
-		func(r PAPIRecord) { res.recs = append(res.recs, r) })
-	return res
-}
-
-func readOverallShard(dir string, tolerant bool) (res fileResult[OverallRecord]) {
-	res.found, res.skipped, res.err = scanOverallShard(dir, tolerant,
-		func(r OverallRecord) { res.recs = append(res.recs, r) })
-	if res.err == nil {
-		res.recs = normalizeOverall(res.recs)
-	}
-	return res
-}
-
-func readPhysicalShard(dir string, npes int, tolerant bool) (res fileResult[PhysicalRecord]) {
-	res.found, res.skipped, res.err = scanPhysicalShard(dir, -1, npes, tolerant,
-		func(r PhysicalRecord) { res.recs = append(res.recs, r) })
-	return res
-}
-
-func readPhysicalPartShard(dir string, pe, npes int) (res fileResult[PhysicalRecord]) {
-	res.found, res.skipped, res.err = scanPhysicalShard(dir, pe, npes, true,
-		func(r PhysicalRecord) { res.recs = append(res.recs, r) })
-	return res
-}
-
-func readSegmentsShard(dir string, nEvents int, tolerant bool) (res fileResult[SegmentRecord]) {
-	res.found, res.skipped, res.err = scanSegmentsShard(dir, nEvents, tolerant,
-		func(r SegmentRecord) { res.recs = append(res.recs, r) })
-	return res
-}
-
-// readSet is the sharded parallel reader behind ReadSet / ReadSetLive /
-// ReadSetOptions. Every per-PE file (and each shared file) is one task;
-// tasks run on a worker pool and write into result slots they own; the
-// merge below walks the slots sequentially in file order, making record
-// order, skipped totals, and error precedence identical for any worker
-// count (the seed's sequential reader is the workers=1 special case).
-func readSet(dir string, opts ReadOptions) (*Set, int, error) {
-	npes, perNode, events, sample, err := readMeta(filepath.Join(dir, metaFile))
-	if err != nil {
-		return nil, 0, err
-	}
-	tolerant := opts.Tolerant
-	cfg := Config{PAPIEvents: events, LogicalSample: sample}
-	s := NewSet(cfg, npes, perNode)
-
-	logRes := make([]fileResult[LogicalRecord], npes)
-	papiRes := make([]fileResult[PAPIRecord], npes)
-	var overallRes fileResult[OverallRecord]
-	var physRes fileResult[PhysicalRecord]
-	var segRes fileResult[SegmentRecord]
-
-	tasks := make([]func(), 0, 2*npes+3)
-	for pe := 0; pe < npes; pe++ {
-		pe := pe
-		tasks = append(tasks, func() { logRes[pe] = readLogicalShard(dir, pe, npes, tolerant) })
-	}
-	for pe := 0; pe < npes; pe++ {
-		pe := pe
-		tasks = append(tasks, func() { papiRes[pe] = readPAPIShard(dir, pe, len(events), npes, tolerant) })
-	}
-	tasks = append(tasks,
-		func() { overallRes = readOverallShard(dir, tolerant) },
-		func() { physRes = readPhysicalShard(dir, npes, tolerant) },
-		func() { segRes = readSegmentsShard(dir, len(events), tolerant) },
-	)
-	runTasks(opts.workers(), tasks)
-
-	// Merge phase: sequential, in file order.
-	skipped := 0
-	scale := int64(s.Config.LogicalSample)
-	for pe, r := range logRes {
-		if r.err != nil {
-			return nil, 0, r.err
-		}
-		if !r.found {
-			continue
-		}
-		skipped += r.skipped
-		s.Config.Logical = true
-		s.Logical[pe] = r.recs
-		s.LogicalSendCount[pe] = int64(len(r.recs)) * scale
-	}
-	for pe, r := range papiRes {
-		if r.err != nil {
-			return nil, 0, r.err
-		}
-		if !r.found {
-			continue
-		}
-		skipped += r.skipped
-		s.PAPI[pe] = r.recs
-	}
-	if overallRes.err != nil {
-		return nil, 0, overallRes.err
-	}
-	if overallRes.found {
-		skipped += overallRes.skipped
-		s.Config.Overall = true
-		s.Overall = overallRes.recs
-	}
-	if physRes.err != nil {
-		return nil, 0, physRes.err
-	}
-	if physRes.found {
-		skipped += physRes.skipped
-		s.Config.Physical = true
-		for _, r := range physRes.recs {
-			s.Physical[r.SrcPE] = append(s.Physical[r.SrcPE], r)
-		}
-	} else if tolerant {
-		// A live streaming dir assembles physical.txt only at Finalize;
-		// until then the records sit in per-PE .part files.
-		partRes := make([]fileResult[PhysicalRecord], npes)
-		partTasks := make([]func(), npes)
-		for pe := 0; pe < npes; pe++ {
-			pe := pe
-			partTasks[pe] = func() { partRes[pe] = readPhysicalPartShard(dir, pe, npes) }
-		}
-		runTasks(opts.workers(), partTasks)
-		for _, r := range partRes {
-			if r.err != nil {
-				return nil, 0, r.err
-			}
-			if !r.found {
-				continue
-			}
-			skipped += r.skipped
-			s.Config.Physical = true
-			for _, rec := range r.recs {
-				s.Physical[rec.SrcPE] = append(s.Physical[rec.SrcPE], rec)
-			}
-		}
-	}
-	if segRes.err != nil {
-		return nil, 0, segRes.err
-	}
-	if segRes.found {
-		skipped += segRes.skipped
-		for _, r := range segRes.recs {
-			if r.PE < 0 || r.PE >= npes {
-				// An out-of-range segment record is corruption, same as
-				// any other reader's PE-range check: skipped when
-				// tolerant, fatal otherwise. (The seed dropped these
-				// silently.)
-				if tolerant {
-					skipped++
-					continue
-				}
-				return nil, 0, fmtErrSegmentRange(r.PE, npes)
-			}
-			s.Segments[r.PE] = append(s.Segments[r.PE], r)
-		}
-	}
-	return s, skipped, nil
-}
-
-func readMeta(path string) (npes, perNode int, events []papi.Event, sample int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, nil, 0, fmt.Errorf("trace: reading meta: %w", err)
-	}
-	defer f.Close()
-	perNode, sample = 1, 1
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) != 2 {
-			continue
-		}
-		switch fields[0] {
-		case "num_PEs":
-			npes, err = strconv.Atoi(fields[1])
-		case "PEs_per_node":
-			perNode, err = strconv.Atoi(fields[1])
-		case "logical_sample":
-			sample, err = strconv.Atoi(fields[1])
-		case "papi_events":
-			for _, name := range strings.Split(fields[1], ",") {
-				ev, e := papi.EventByName(name)
-				if e != nil {
-					return 0, 0, nil, 0, e
-				}
-				events = append(events, ev)
-			}
-		}
-		if err != nil {
-			return 0, 0, nil, 0, fmt.Errorf("trace: bad meta line %q: %w", sc.Text(), err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return 0, 0, nil, 0, err
-	}
-	if npes <= 0 {
-		return 0, 0, nil, 0, fmt.Errorf("trace: meta file %s has no num_PEs", path)
-	}
-	if npes > maxReadPEs {
-		return 0, 0, nil, 0, fmt.Errorf("trace: meta file %s claims %d PEs (max %d); refusing to allocate",
-			path, npes, maxReadPEs)
-	}
-	if perNode <= 0 || perNode > npes {
-		return 0, 0, nil, 0, fmt.Errorf("trace: meta file %s has PEs_per_node %d for %d PEs", path, perNode, npes)
-	}
-	if sample <= 0 {
-		sample = 1 // pre-normalization configs wrote 0 for "keep all"
-	}
-	return npes, perNode, events, sample, nil
-}
-
-// maxReadPEs caps the PE count a meta file may claim: the per-PE slices
-// ReadSet allocates (and the per-PE files it probes) scale with it, so a
-// corrupt meta line must not drive the reader into huge allocations.
-const maxReadPEs = 1 << 20
-
-// fmtErrSegmentRange is the segments reader's PE-range violation.
-func fmtErrSegmentRange(pe, npes int) error {
-	return fmt.Errorf("trace: segments record with PE %d outside [0, %d)", pe, npes)
+	return nil
 }
 
 // checkPERange rejects records whose endpoints fall outside the world

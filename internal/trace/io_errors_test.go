@@ -162,7 +162,7 @@ func TestReadSetErrorPaths(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := writeTraceDir(t, tc.files)
-			s, err := ReadSet(dir)
+			s, _, err := ReadSet(dir, ReadOptions{})
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("ReadSet: %v", err)
@@ -188,7 +188,7 @@ func TestReadSetThenMatricesNoPanic(t *testing.T) {
 		"PE3_send.csv":       "1,3,0,0,8\n",
 		"physical.txt":       "local_send,1024,0,1\nnonblock_send,2048,1,3\n",
 	})
-	s, err := ReadSet(dir)
+	s, _, err := ReadSet(dir, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,5 +199,35 @@ func TestReadSetThenMatricesNoPanic(t *testing.T) {
 	pm := s.PhysicalMatrix()
 	if pm[0][1] != 1 || pm[1][3] != 1 {
 		t.Errorf("physical matrix wrong: %v", pm)
+	}
+}
+
+// TestReadSetSparseShardIsAnError: the readers size their record slices
+// from a shard's file size, which comes from the file system, not from
+// the content. A 1 TiB sparse shard - all zero bytes, under either
+// name - must give ReadSet an error instead of crashing it with an
+// allocation sized from the claimed length.
+func TestReadSetSparseShardIsAnError(t *testing.T) {
+	for _, name := range []string{"PE0_send.bin", "PE0_send.csv"} {
+		t.Run(name, func(t *testing.T) {
+			dir := writeTraceDir(t, map[string]string{"actorprof_meta.txt": goodMeta})
+			f, err := os.Create(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = f.Truncate(1 << 40)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Skipf("file system cannot create a 1 TiB sparse file: %v", err)
+			}
+			if _, _, err := ReadSet(dir, ReadOptions{}); err == nil {
+				t.Fatal("strict ReadSet accepted a 1 TiB shard of zero bytes")
+			}
+			if _, _, err := ReadSet(dir, ReadOptions{Tolerant: true}); err != nil {
+				t.Fatalf("tolerant ReadSet must skip the corrupt shard, got: %v", err)
+			}
+		})
 	}
 }

@@ -7,14 +7,23 @@ import (
 	"testing"
 )
 
+// logicalSink collects the logical records of a single-shard scan.
+type logicalSink struct{ recs []LogicalRecord }
+
+func (k *logicalSink) logical(_, _, _ int) func(LogicalRecord) {
+	return func(r LogicalRecord) { k.recs = append(k.recs, r) }
+}
+func (k *logicalSink) papi(_, _, _ int) func(PAPIRecord)      { return nil }
+func (k *logicalSink) physical(_, _ int) func(PhysicalRecord) { return nil }
+
 // fuzzReadLogical reads dir's PE0 logical shard (CSV or binary, sniffed
-// by content like ReadSet does).
+// by content) through the scan core, as ReadSet does, with every PE
+// number admissible.
 func fuzzReadLogical(dir string, tolerant bool) ([]LogicalRecord, int, error) {
-	var recs []LogicalRecord
-	_, skipped, err := scanLogicalShard(dir, 0, maxReadPEs, tolerant, func(r LogicalRecord) {
-		recs = append(recs, r)
-	})
-	return recs, skipped, err
+	d := &dirScan{dir: dir, tolerant: tolerant, numPEs: maxReadPEs}
+	k := &logicalSink{}
+	r := d.scan(shard{kind: kindLogical}, 0, k)
+	return k.recs, r.skipped, r.err
 }
 
 // FuzzReadLogicalFile throws arbitrary bytes at the PEi_send.csv reader:
@@ -135,8 +144,8 @@ func FuzzReadSet(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dirA, "actorprof_meta.txt"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _ = ReadSet(dirA)
-		_, _, _ = ReadSetLive(dirA)
+		_, _, _ = ReadSet(dirA, ReadOptions{})
+		_, _, _ = ReadSet(dirA, ReadOptions{Tolerant: true})
 
 		// Case 2: valid meta, hostile everything else.
 		dirB := t.TempDir()
@@ -153,11 +162,11 @@ func FuzzReadSet(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		_, _ = ReadSet(dirB)
-		// The live reader must tolerate the same hostility without error:
+		_, _, _ = ReadSet(dirB, ReadOptions{})
+		// The tolerant reader must take the same hostility without error:
 		// with a valid meta, content-level corruption is skipped, not fatal.
-		if _, _, err := ReadSetLive(dirB); err != nil {
-			t.Fatalf("ReadSetLive errored on content corruption: %v", err)
+		if _, _, err := ReadSet(dirB, ReadOptions{Tolerant: true}); err != nil {
+			t.Fatalf("tolerant ReadSet errored on content corruption: %v", err)
 		}
 	})
 }

@@ -1,24 +1,60 @@
 package trace
 
 import (
+	"bufio"
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"actorprof/internal/conveyor"
 )
 
+// apbfFile encodes one APBF file holding one block per rows group. torn
+// cuts the final byte, leaving the last block claiming a row it does
+// not hold - the state a streaming writer leaves when its buffer has
+// flushed mid-block.
+func apbfFile(t *testing.T, kind byte, ncols int, torn bool, blocks ...[][]int64) string {
+	t.Helper()
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	b := newBinWriter(w, kind, ncols)
+	for _, rows := range blocks {
+		for _, row := range rows {
+			b.push(row...)
+		}
+		b.flushBlock()
+	}
+	if err := b.finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.Bytes()
+	if torn {
+		out = out[:len(out)-1]
+	}
+	return string(out)
+}
+
 // writeLiveDir lays out a trace directory the way a streaming collector
-// leaves it mid-run: meta present, logical CSVs with a torn final line
-// (the writer's buffer flushed mid-record), and per-PE physical .part
-// files not yet assembled into physical.txt.
+// leaves it mid-run: meta present, logical APBF shards with a torn final
+// block (the writer's buffer flushed mid-record), and per-PE physical
+// .part.bin files not yet assembled into physical.bin.
 func writeLiveDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
+	local, nonblock := int64(conveyor.LocalSend), int64(conveyor.NonblockSend)
 	files := map[string]string{
 		"actorprof_meta.txt": "num_PEs 2\nPEs_per_node 2\nlogical_sample 1\n",
-		"PE0_send.csv":       "0,0,0,1,8\n0,0,0,1,16\n0,0,0",
-		"PE1_send.csv":       "0,1,0,0,8\n",
-		"physical.PE0.part":  "local_send,64,0,1\nnonblock_send,128,0,1\nnonblock_s",
-		"physical.PE1.part":  "local_send,32,1,0\n",
+		"PE0_send.bin": apbfFile(t, binKindLogical, 5, true,
+			[][]int64{{0, 0, 0, 1, 8}, {0, 0, 0, 1, 16}}, [][]int64{{0, 0, 0, 1, 24}}),
+		"PE1_send.bin": apbfFile(t, binKindLogical, 5, false, [][]int64{{0, 1, 0, 0, 8}}),
+		"physical.PE0.part.bin": apbfFile(t, binKindPhysical, binPhysicalCols, true,
+			[][]int64{{local, 64, 0, 1, 10}, {nonblock, 128, 0, 1, 20}}, [][]int64{{nonblock, 64, 0, 1, 30}}),
+		"physical.PE1.part.bin": apbfFile(t, binKindPhysical, binPhysicalCols, false,
+			[][]int64{{local, 32, 1, 0, 15}}),
 	}
 	for name, content := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
@@ -31,14 +67,14 @@ func writeLiveDir(t *testing.T) string {
 func TestReadSetLiveToleratesInProgressDir(t *testing.T) {
 	dir := writeLiveDir(t)
 
-	// The strict reader must refuse the torn logical line.
-	if _, err := ReadSet(dir); err == nil {
-		t.Fatal("ReadSet accepted a torn logical line")
+	// The strict reader must refuse the torn logical block.
+	if _, _, err := ReadSet(dir, ReadOptions{}); err == nil {
+		t.Fatal("strict ReadSet accepted a torn logical block")
 	}
 
-	s, skipped, err := ReadSetLive(dir)
+	s, skipped, err := ReadSet(dir, ReadOptions{Tolerant: true})
 	if err != nil {
-		t.Fatalf("ReadSetLive: %v", err)
+		t.Fatalf("tolerant ReadSet: %v", err)
 	}
 	if skipped != 2 {
 		t.Errorf("skipped = %d, want 2 (one torn logical, one torn physical)", skipped)
@@ -61,11 +97,11 @@ func TestReadSetLiveMatchesReadSetOnFinishedDir(t *testing.T) {
 	if err := s.WriteFiles(dir); err != nil {
 		t.Fatal(err)
 	}
-	strict, err := ReadSet(dir)
+	strict, _, err := ReadSet(dir, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, skipped, err := ReadSetLive(dir)
+	live, skipped, err := ReadSet(dir, ReadOptions{Tolerant: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,48 +18,19 @@ import (
 // defaultWorkers is the worker count used when ReadOptions.Workers <= 0.
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// runTasks executes every task on a pool of at most workers goroutines.
-// Tasks communicate results only through slots they own.
-func runTasks(workers int, tasks []func()) {
-	if workers > len(tasks) {
-		workers = len(tasks)
+// runTasks calls task(i, worker) for every i in [0, n) on a pool of at
+// most workers goroutines. worker is the index of the goroutine running
+// the task, so tasks can fold into per-worker partial accumulators; only
+// commutative merges may rely on it, because the assignment of tasks to
+// workers depends on scheduling. Everything else communicates through
+// slot i.
+func runTasks(workers, n int, task func(i, worker int)) {
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				tasks[i]()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// runWorkerTasks is runTasks with worker-local state: each task receives
-// the index of the worker executing it, so tasks can fold into
-// per-worker partial accumulators (merged by the caller afterwards).
-// Only commutative merges may use this - the assignment of tasks to
-// workers is scheduling-dependent.
-func runWorkerTasks(workers int, tasks []func(worker int)) {
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			t(0)
+		for i := 0; i < n; i++ {
+			task(i, 0)
 		}
 		return
 	}
@@ -71,10 +42,10 @@ func runWorkerTasks(workers int, tasks []func(worker int)) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
+				if i >= n {
 					return
 				}
-				tasks[i](worker)
+				task(i, worker)
 			}
 		}(w)
 	}

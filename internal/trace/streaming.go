@@ -15,69 +15,71 @@ import (
 // programs emit message volumes whose traces reach the order of 100 GB,
 // far beyond what a collector can buffer in memory. A streaming
 // Collector writes every logical, PAPI, and physical record to disk the
-// moment it is produced - in the on-disk formats selected by
-// Config.Format, so ReadSet and the visualizer work unchanged - and
-// keeps only O(PEs) state (counters and the overall breakdown) in
-// memory. Records are encoded with the byte-level appenders of
-// fastio.go (CSV) and binary.go (APBF) into per-stream scratch, so the
-// hot path stays allocation-free.
+// moment it is produced - always as APBF, so ReadSet and the visualizer
+// work unchanged - and keeps only O(PEs) state (counters and the overall
+// breakdown) in memory. Records are encoded by binary.go's block writer
+// into per-stream column scratch, so the hot path stays allocation-free.
+// The paper's CSV formats come from converting the finished directory
+// (actorprof export -format paper).
 
-// peStream holds one PE's open trace files in streaming mode: a CSV
-// sink and/or a binary sink per enabled record kind.
+// binStream is one APBF file a streaming collector appends to.
+type binStream struct {
+	f *os.File
+	*binWriter
+}
+
+// openBinStream creates path and writes the APBF header for kind/ncols.
+func openBinStream(path string, kind byte, ncols int) (*binStream, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	w := bufio.NewWriterSize(f, 1<<16)
+	s := &binStream{f: f, binWriter: newBinWriter(w, kind, ncols)}
+	// Flush the header so a live reader sniffing the file sees the magic
+	// immediately, not after 64 KB of buffered blocks.
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// close flushes the final block and closes the file; a nil stream (a
+// record kind the run does not trace) closes trivially.
+func (s *binStream) close() error {
+	if s == nil {
+		return nil
+	}
+	return errors.Join(s.finish(), s.w.Flush(), s.f.Close())
+}
+
+// peStream holds one PE's open trace files in streaming mode: one APBF
+// stream per enabled record kind.
 type peStream struct {
-	logicalF, papiF, physF *os.File
-	logical, papi, phys    *bufio.Writer
-
-	logicalBF, papiBF, physBF    *os.File
-	logicalBW, papiBW, physBW    *bufio.Writer
-	logicalBin, papiBin, physBin *binWriter
-
-	// buf is the CSV line-append scratch, reused per record; papiRow is
-	// the binary PAPI column scratch.
-	buf     []byte
+	logical, papi, phys *binStream
+	// papiRow is the PAPI column scratch, reused per record.
 	papiRow []int64
 }
 
 func (s *peStream) flushClose() error {
-	var first error
-	flush := func(w *bufio.Writer, f *os.File) {
-		if w != nil {
-			if err := w.Flush(); err != nil && first == nil {
-				first = err
-			}
-		}
-		if f != nil {
-			if err := f.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	finish := func(b *binWriter, w *bufio.Writer, f *os.File) {
-		if b != nil {
-			if err := b.finish(); err != nil && first == nil {
-				first = err
-			}
-		}
-		flush(w, f)
-	}
-	flush(s.logical, s.logicalF)
-	flush(s.papi, s.papiF)
-	flush(s.phys, s.physF)
-	finish(s.logicalBin, s.logicalBW, s.logicalBF)
-	finish(s.papiBin, s.papiBW, s.papiBF)
-	finish(s.physBin, s.physBW, s.physBF)
-	return first
+	return errors.Join(s.logical.close(), s.papi.close(), s.phys.close())
 }
 
 // NewStreamingCollector creates a collector that writes records straight
-// into dir instead of buffering them. Call Finalize after the run to
-// complete the directory (meta, overall, physical assembly); Set() then
-// carries only counters and the overall breakdown - load the full data
-// back with ReadSet(dir) when needed.
+// into dir as APBF instead of buffering them. Call Finalize after the run
+// to complete the directory (meta, overall, physical assembly); Set()
+// then carries only counters and the overall breakdown - load the full
+// data back with ReadSet(dir, ...) when needed. FormatCSV is refused:
+// convert the finished directory with actorprof export -format paper.
 func NewStreamingCollector(cfg Config, machine sim.Machine, dir string) (*Collector, error) {
 	c, err := NewCollector(cfg, machine)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Format != FormatBinary {
+		return nil, fmt.Errorf("trace: the streaming collector writes APBF only (got format %s); "+
+			"convert the finished directory with: actorprof export -format paper -out DIR %s", cfg.Format, dir)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("trace: creating stream dir: %w", err)
@@ -100,82 +102,42 @@ func (c *Collector) Streaming() bool { return c.streamDir != "" }
 // openStreams creates the per-PE files lazily at ForPE time.
 func (c *Collector) openStreams(pe int) (*peStream, error) {
 	s := &peStream{}
-	format := c.cfg.Format
-	openCSV := func(name string) (*os.File, *bufio.Writer, error) {
-		f, err := os.Create(filepath.Join(c.streamDir, name))
-		if err != nil {
-			return nil, nil, err
-		}
-		return f, bufio.NewWriterSize(f, 1<<16), nil
-	}
-	openBin := func(name string, kind byte, ncols int) (*os.File, *bufio.Writer, *binWriter, error) {
-		f, err := os.Create(filepath.Join(c.streamDir, name))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		w := bufio.NewWriterSize(f, 1<<16)
-		b := newBinWriter(w, kind, ncols)
-		// Flush the header so a live reader sniffing the file sees the
-		// magic immediately, not after 64 KB of buffered blocks.
-		if err := w.Flush(); err != nil {
-			f.Close()
-			return nil, nil, nil, err
-		}
-		return f, w, b, nil
+	open := func(name string, kind byte, ncols int) (*binStream, error) {
+		return openBinStream(filepath.Join(c.streamDir, name), kind, ncols)
 	}
 	var err error
 	if c.cfg.Logical {
-		if format.csv() {
-			if s.logicalF, s.logical, err = openCSV(logicalFile(pe)); err != nil {
-				return nil, err
-			}
-		}
-		if format.binary() {
-			if s.logicalBF, s.logicalBW, s.logicalBin, err = openBin(logicalBinFile(pe), binKindLogical, 5); err != nil {
-				return nil, err
-			}
+		if s.logical, err = open(logicalBinFile(pe), binKindLogical, 5); err != nil {
+			return nil, err
 		}
 	}
 	if nev := len(c.cfg.PAPIEvents); nev > 0 {
-		if format.csv() {
-			if s.papiF, s.papi, err = openCSV(papiFile(pe)); err != nil {
-				return nil, err
-			}
-		}
-		if format.binary() {
-			if s.papiBF, s.papiBW, s.papiBin, err = openBin(papiBinFile(pe), binKindPAPI, 7+nev); err != nil {
-				return nil, err
-			}
+		if s.papi, err = open(papiBinFile(pe), binKindPAPI, 7+nev); err != nil {
+			return nil, err
 		}
 	}
 	if c.cfg.Physical {
-		if format.csv() {
-			if s.physF, s.phys, err = openCSV(physicalPart(pe)); err != nil {
-				return nil, err
-			}
-		}
-		if format.binary() {
-			if s.physBF, s.physBW, s.physBin, err = openBin(physicalPartBin(pe), binKindPhysical, binPhysicalCols); err != nil {
-				return nil, err
-			}
+		if s.phys, err = open(physicalPart(pe), binKindPhysical, binPhysicalCols); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil
 }
 
-func physicalPart(pe int) string    { return fmt.Sprintf("physical.PE%d.part", pe) }
-func physicalPartBin(pe int) string { return fmt.Sprintf("physical.PE%d.part.bin", pe) }
+// physicalPart names PE pe's unassembled physical stream.
+func physicalPart(pe int) string { return fmt.Sprintf("physical.PE%d.part.bin", pe) }
 
 // Finalize completes a streaming trace directory: flushes and closes
-// every per-PE file, writes the meta file and the overall breakdown,
-// and assembles the per-PE physical parts into physical.txt and/or
-// physical.bin (removing the parts). Finalize must be called after
-// every PECollector's Close. It is an error on non-streaming collectors.
+// every per-PE file, writes the meta file, the overall breakdown and the
+// segments, assembles the per-PE physical parts into physical.bin
+// (removing the parts) and builds its time index. Finalize must be
+// called after every PECollector's Close. It is an error on
+// non-streaming collectors.
 //
 // Every per-PE stream is closed even when some of them fail (the errors
 // are joined), so a failing Finalize never leaks file handles; on
 // failure the partial outputs of the failed step (a half-written
-// physical.txt) are removed rather than left looking like a finished
+// physical.bin) are removed rather than left looking like a finished
 // trace.
 func (c *Collector) Finalize() error {
 	if !c.Streaming() {
@@ -203,117 +165,39 @@ func (c *Collector) Finalize() error {
 		return err
 	}
 	if c.cfg.Overall {
-		if c.cfg.Format.csv() {
-			if err := c.set.writeOverall(c.streamDir); err != nil {
-				return err
-			}
-		}
-		if c.cfg.Format.binary() {
-			if err := c.set.writeOverallBin(c.streamDir); err != nil {
-				return err
-			}
+		if err := c.set.writeOverallBin(c.streamDir); err != nil {
+			return err
 		}
 	}
 	// Segments are aggregated in memory even in streaming mode (they are
 	// O(PEs x names), not O(records)), so they are written here like the
-	// overall breakdown. The seed's streaming Finalize omitted them,
-	// leaving streamed directories without segments.txt.
+	// overall breakdown.
 	if c.set.hasSegments() {
-		if c.cfg.Format.csv() {
-			if err := c.set.writeSegments(c.streamDir); err != nil {
-				return err
-			}
-		}
-		if c.cfg.Format.binary() {
-			if err := c.set.writeSegmentsBin(c.streamDir); err != nil {
-				return err
-			}
+		if err := c.set.writeSegmentsBin(c.streamDir); err != nil {
+			return err
 		}
 	}
 	if c.cfg.Physical {
 		if err := c.assemblePhysical(); err != nil {
 			return err
 		}
-		// The time index rides on the assembled binary file; CSV-only
-		// runs are served by the query engine's full-scan fallback.
-		if c.cfg.Format.binary() {
-			if _, err := BuildTimeIndex(c.streamDir); err != nil {
-				return err
-			}
+		// Only after the assembled output is durably complete do the
+		// parts go away.
+		for pe := 0; pe < c.machine.NumPEs; pe++ {
+			os.Remove(filepath.Join(c.streamDir, physicalPart(pe)))
+		}
+		if _, err := BuildTimeIndex(c.streamDir); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// assemblePhysical concatenates the per-PE physical parts into the
-// directory-level physical file(s), removing the parts only after every
-// enabled format has assembled durably.
-func (c *Collector) assemblePhysical() error {
-	if c.cfg.Format.csv() {
-		if err := c.assemblePhysicalCSV(); err != nil {
-			return err
-		}
-	}
-	if c.cfg.Format.binary() {
-		if err := c.assemblePhysicalBin(); err != nil {
-			return err
-		}
-	}
-	// Only after the assembled outputs are durably complete do the
-	// parts go away.
-	for pe := 0; pe < c.machine.NumPEs; pe++ {
-		os.Remove(filepath.Join(c.streamDir, physicalPart(pe)))
-		os.Remove(filepath.Join(c.streamDir, physicalPartBin(pe)))
-	}
-	return nil
-}
-
-// assemblePhysicalCSV concatenates the CSV parts into physical.txt,
-// removing the half-written physical.txt on failure.
-func (c *Collector) assemblePhysicalCSV() (err error) {
-	outPath := filepath.Join(c.streamDir, physicalFile)
-	out, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if out != nil {
-			err = errors.Join(err, out.Close())
-		}
-		if err != nil {
-			// Leave the .part files (they still hold the data) but never
-			// a truncated physical.txt that readers would trust.
-			os.Remove(outPath)
-		}
-	}()
-	w := bufio.NewWriterSize(out, 1<<16)
-	for pe := 0; pe < c.machine.NumPEs; pe++ {
-		part := filepath.Join(c.streamDir, physicalPart(pe))
-		in, openErr := os.Open(part)
-		if openErr != nil {
-			if os.IsNotExist(openErr) {
-				continue
-			}
-			return openErr
-		}
-		_, copyErr := io.Copy(w, in)
-		if err := errors.Join(copyErr, in.Close()); err != nil {
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	closeErr := out.Close()
-	out = nil
-	return closeErr
-}
-
-// assemblePhysicalBin concatenates the binary parts into physical.bin:
+// assemblePhysical concatenates the per-PE parts into physical.bin:
 // one output header, then every part's blocks with their own headers
 // stripped (each part is validated to carry the physical kind and
 // column count, so the concatenated block stream stays well formed).
-func (c *Collector) assemblePhysicalBin() (err error) {
+func (c *Collector) assemblePhysical() (err error) {
 	outPath := filepath.Join(c.streamDir, physicalBinFile)
 	out, err := os.Create(outPath)
 	if err != nil {
@@ -333,7 +217,7 @@ func (c *Collector) assemblePhysicalBin() (err error) {
 		return err
 	}
 	for pe := 0; pe < c.machine.NumPEs; pe++ {
-		part := filepath.Join(c.streamDir, physicalPartBin(pe))
+		part := filepath.Join(c.streamDir, physicalPart(pe))
 		in, openErr := os.Open(part)
 		if openErr != nil {
 			if os.IsNotExist(openErr) {
@@ -369,55 +253,22 @@ func (c *Collector) assemblePhysicalBin() (err error) {
 	return closeErr
 }
 
-// Streaming write paths, called from the PECollector hot path. Errors
-// are sticky in the underlying writers and surface at Finalize.
+// Streaming write paths, called from the PECollector hot path for the
+// record kinds the run traces. Errors are sticky in the underlying
+// writers and surface at Finalize.
 
 func (p *PECollector) streamLogical(r LogicalRecord) {
-	s := p.stream
-	if s.logical != nil {
-		s.buf = appendLogical(s.buf[:0], r)
-		s.logical.Write(s.buf)
-	}
-	if s.logicalBin != nil {
-		s.logicalBin.push(int64(r.SrcNode), int64(r.SrcPE), int64(r.DstNode), int64(r.DstPE), int64(r.MsgSize))
-	}
+	p.stream.logical.push(int64(r.SrcNode), int64(r.SrcPE), int64(r.DstNode), int64(r.DstPE), int64(r.MsgSize))
 }
 
 func (p *PECollector) streamPAPI(r PAPIRecord) {
 	s := p.stream
-	if s.papi != nil {
-		s.buf = appendPAPI(s.buf[:0], r)
-		s.papi.Write(s.buf)
+	if s.papiRow == nil {
+		s.papiRow = make([]int64, 7+len(p.parent.cfg.PAPIEvents))
 	}
-	if s.papiBin != nil {
-		nev := len(p.parent.cfg.PAPIEvents)
-		row := s.papiRow
-		if cap(row) < 7+nev {
-			row = make([]int64, 7+nev)
-			s.papiRow = row
-		}
-		row = row[:7+nev]
-		row[0], row[1] = int64(r.SrcNode), int64(r.SrcPE)
-		row[2], row[3] = int64(r.DstNode), int64(r.DstPE)
-		row[4], row[5], row[6] = int64(r.PktSize), int64(r.MailboxID), int64(r.NumSends)
-		for i := 0; i < nev; i++ {
-			if i < len(r.Counters) {
-				row[7+i] = r.Counters[i]
-			} else {
-				row[7+i] = 0
-			}
-		}
-		s.papiBin.push(row...)
-	}
+	s.papi.push(papiRow(s.papiRow, r)...)
 }
 
 func (p *PECollector) streamPhysical(r PhysicalRecord) {
-	s := p.stream
-	if s.phys != nil {
-		s.buf = appendPhysical(s.buf[:0], r)
-		s.phys.Write(s.buf)
-	}
-	if s.physBin != nil {
-		s.physBin.push(int64(r.Kind), int64(r.BufBytes), int64(r.SrcPE), int64(r.DstPE), r.Cycles)
-	}
+	p.stream.phys.push(int64(r.Kind), int64(r.BufBytes), int64(r.SrcPE), int64(r.DstPE), r.Cycles)
 }

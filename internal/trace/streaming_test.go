@@ -81,7 +81,7 @@ func TestStreamingCollectorWritesIdenticalFiles(t *testing.T) {
 		}
 	}
 	// No leftover part files.
-	leftovers, _ := filepath.Glob(filepath.Join(streamDir, "*.part"))
+	leftovers, _ := filepath.Glob(filepath.Join(streamDir, "*.part*"))
 	if len(leftovers) != 0 {
 		t.Errorf("part files not cleaned up: %v", leftovers)
 	}
@@ -124,7 +124,7 @@ func TestStreamingRoundTripThroughReadSet(t *testing.T) {
 	if err := c.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSet(dir)
+	back, _, err := ReadSet(dir, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +170,9 @@ func TestFinalizeClosesAllStreamsOnError(t *testing.T) {
 	// file underneath the bufio writer makes its flush fail.
 	var files []*os.File
 	for _, s := range c.streams {
-		files = append(files, s.logicalF, s.physF)
+		files = append(files, s.logical.f, s.phys.f)
 	}
-	if err := c.streams[1].logicalF.Close(); err != nil {
+	if err := c.streams[1].logical.f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Finalize(); err == nil {
@@ -183,16 +183,16 @@ func TestFinalizeClosesAllStreamsOnError(t *testing.T) {
 			t.Errorf("file %d (%s) was left open by the failing Finalize", i, f.Name())
 		}
 	}
-	// The failed Finalize must not have assembled a physical.txt over
+	// The failed Finalize must not have assembled a physical.bin over
 	// untrustworthy per-PE files.
-	if _, err := os.Stat(filepath.Join(dir, physicalFile)); !os.IsNotExist(err) {
-		t.Errorf("physical.txt written despite stream close failure (stat err: %v)", err)
+	if _, err := os.Stat(filepath.Join(dir, physicalBinFile)); !os.IsNotExist(err) {
+		t.Errorf("physical.bin written despite stream close failure (stat err: %v)", err)
 	}
 }
 
 func TestFinalizeRemovesHalfWrittenPhysical(t *testing.T) {
 	// Regression: an error while concatenating the per-PE physical parts
-	// used to strand a truncated physical.txt that readers would trust.
+	// used to strand a truncated physical file that readers would trust.
 	// On failure the half-written file must be removed and the .part
 	// inputs kept.
 	dir := t.TempDir()
@@ -218,8 +218,8 @@ func TestFinalizeRemovesHalfWrittenPhysical(t *testing.T) {
 	if err := c.Finalize(); err == nil {
 		t.Fatal("Finalize must report the concatenation error")
 	}
-	if _, err := os.Stat(filepath.Join(dir, physicalFile)); !os.IsNotExist(err) {
-		t.Errorf("half-written physical.txt left behind (stat err: %v)", err)
+	if _, err := os.Stat(filepath.Join(dir, physicalBinFile)); !os.IsNotExist(err) {
+		t.Errorf("half-written physical.bin left behind (stat err: %v)", err)
 	}
 	for _, pe := range []int{0, 1, 3} {
 		if _, err := os.Stat(filepath.Join(dir, physicalPart(pe))); err != nil {

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"path/filepath"
-
 	"actorprof/internal/conveyor"
 	"actorprof/internal/papi"
 	"actorprof/internal/stats"
@@ -177,39 +175,46 @@ func (s *Set) Summary() *Summary {
 // scheduling-dependent assignment of files to workers cannot change the
 // merged result (DESIGN.md §10).
 type summaryPartial struct {
-	npes    int
-	logical Matrix
-	phys    map[conveyor.SendKind]Matrix
-	papi    [][]int64
-	msg     stats.Stream
+	npes, nEvents int
+	scale         int64
+	logical       Matrix
+	phys          map[conveyor.SendKind]Matrix
+	papi          [][]int64
+	msg           stats.Stream
 }
 
-func (p *summaryPartial) logicalYield(scale int64) func(LogicalRecord) {
+// summarySink folds records into one partial per worker.
+type summarySink []*summaryPartial
+
+func (k summarySink) logical(worker, _, _ int) func(LogicalRecord) {
+	p := k[worker]
 	if p.logical == nil {
 		p.logical = NewMatrix(p.npes)
 	}
-	m := p.logical
+	m, scale := p.logical, p.scale
 	return func(r LogicalRecord) {
 		m[r.SrcPE][r.DstPE] += scale
 		p.msg.Observe(int64(r.MsgSize))
 	}
 }
 
-func (p *summaryPartial) papiYield(pe, nEvents int) func(PAPIRecord) {
+func (k summarySink) papi(worker, pe, _ int) func(PAPIRecord) {
+	p := k[worker]
 	if p.papi == nil {
-		p.papi = make([][]int64, nEvents)
+		p.papi = make([][]int64, p.nEvents)
 		for i := range p.papi {
 			p.papi[i] = make([]int64, p.npes)
 		}
 	}
 	return func(r PAPIRecord) {
-		for ev := 0; ev < nEvents && ev < len(r.Counters); ev++ {
+		for ev := 0; ev < p.nEvents && ev < len(r.Counters); ev++ {
 			p.papi[ev][pe] += r.Counters[ev]
 		}
 	}
 }
 
-func (p *summaryPartial) physicalYield() func(PhysicalRecord) {
+func (k summarySink) physical(worker, _ int) func(PhysicalRecord) {
+	p := k[worker]
 	if p.phys == nil {
 		p.phys = map[conveyor.SendKind]Matrix{}
 	}
@@ -223,156 +228,33 @@ func (p *summaryPartial) physicalYield() func(PhysicalRecord) {
 	}
 }
 
-// taskMark is one parse task's found/skipped/error slot.
-type taskMark struct {
-	found   bool
-	skipped int
-	err     error
-}
-
 // ReadSummary scans a trace directory into a Summary without ever
-// materializing record slices: per-PE files parse in parallel (like
-// ReadSetOptions) and every record folds into per-worker partial
-// matrices that merge by exact integer addition. opts.Tolerant has
-// ReadSetLive semantics; the skipped count matches what ReadSetOptions
-// would report for the same directory.
+// materializing record slices: files parse in parallel on the same scan
+// core as ReadSet, and every record folds into per-worker partial
+// matrices that merge by exact integer addition. The skipped count and
+// error match what ReadSet reports for the same directory and options.
 func ReadSummary(dir string, opts ReadOptions) (*Summary, int, error) {
-	npes, perNode, events, sample, err := readMeta(filepath.Join(dir, metaFile))
+	d, err := openScan(dir, opts)
 	if err != nil {
 		return nil, 0, err
 	}
-	tolerant := opts.Tolerant
-	nEvents := len(events)
+	npes, nEvents := d.numPEs, len(d.cfg.PAPIEvents)
+	partials := make(summarySink, d.workers)
+	for i := range partials {
+		partials[i] = &summaryPartial{npes: npes, nEvents: nEvents, scale: int64(d.cfg.LogicalSample)}
+	}
+	if err := d.run(partials); err != nil {
+		return nil, 0, err
+	}
 	m := &Summary{
 		NumPEs:     npes,
-		PEsPerNode: perNode,
-		Config:     Config{PAPIEvents: events, LogicalSample: sample},
-		Segments:   make([][]SegmentRecord, npes),
+		PEsPerNode: d.perNode,
+		Config:     d.cfg,
+		Segments:   d.segments,
 	}
-
-	workers := opts.workers()
-	if workers > 2*npes+1 {
-		workers = 2*npes + 1
+	if d.cfg.Overall {
+		m.Overall = d.overall
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	partials := make([]*summaryPartial, workers)
-	for i := range partials {
-		partials[i] = &summaryPartial{npes: npes}
-	}
-
-	logMarks := make([]taskMark, npes)
-	papiMarks := make([]taskMark, npes)
-	var physMark taskMark
-	tasks := make([]func(worker int), 0, 2*npes+1)
-	scale := int64(sample)
-	for pe := 0; pe < npes; pe++ {
-		pe := pe
-		tasks = append(tasks, func(w int) {
-			t := &logMarks[pe]
-			t.found, t.skipped, t.err = scanLogicalShard(dir, pe, npes, tolerant, partials[w].logicalYield(scale))
-		})
-	}
-	for pe := 0; pe < npes; pe++ {
-		pe := pe
-		tasks = append(tasks, func(w int) {
-			t := &papiMarks[pe]
-			t.found, t.skipped, t.err = scanPAPIShard(dir, pe, nEvents, npes, tolerant, partials[w].papiYield(pe, nEvents))
-		})
-	}
-	tasks = append(tasks, func(w int) {
-		physMark.found, physMark.skipped, physMark.err = scanPhysicalShard(dir, -1, npes, tolerant, partials[w].physicalYield())
-	})
-	runWorkerTasks(workers, tasks)
-
-	skipped := 0
-	for _, t := range logMarks {
-		if t.err != nil {
-			return nil, 0, t.err
-		}
-		if t.found {
-			skipped += t.skipped
-			m.Config.Logical = true
-		}
-	}
-	for _, t := range papiMarks {
-		if t.err != nil {
-			return nil, 0, t.err
-		}
-		if t.found {
-			skipped += t.skipped
-		}
-	}
-
-	// Overall is one small file; scan it sequentially between the error
-	// checks so error precedence matches readSet (logical, PAPI,
-	// overall, physical, segments).
-	var overall []OverallRecord
-	overallFound, overallSkipped, overallErr := scanOverallShard(dir, tolerant,
-		func(r OverallRecord) { overall = append(overall, r) })
-	if overallErr != nil {
-		return nil, 0, overallErr
-	}
-	if overallFound {
-		skipped += overallSkipped
-		m.Config.Overall = true
-		m.Overall = normalizeOverall(overall)
-	}
-
-	if physMark.err != nil {
-		return nil, 0, physMark.err
-	}
-	if physMark.found {
-		skipped += physMark.skipped
-		m.Config.Physical = true
-	} else if tolerant {
-		// Unassembled streaming run: fold the per-PE .part files.
-		partMarks := make([]taskMark, npes)
-		partTasks := make([]func(worker int), npes)
-		for pe := 0; pe < npes; pe++ {
-			pe := pe
-			partTasks[pe] = func(w int) {
-				t := &partMarks[pe]
-				t.found, t.skipped, t.err = scanPhysicalShard(dir, pe, npes, true, partials[w].physicalYield())
-			}
-		}
-		runWorkerTasks(workers, partTasks)
-		for _, t := range partMarks {
-			if t.err != nil {
-				return nil, 0, t.err
-			}
-			if t.found {
-				skipped += t.skipped
-				m.Config.Physical = true
-			}
-		}
-	}
-
-	var segExtra int
-	var segErr error
-	_, segSkipped, err2 := scanSegmentsShard(dir, nEvents, tolerant, func(r SegmentRecord) {
-		if r.PE < 0 || r.PE >= npes {
-			if tolerant {
-				segExtra++ // safe: the sequential scan is the only writer
-				return
-			}
-			if segErr == nil {
-				segErr = fmtErrSegmentRange(r.PE, npes)
-			}
-			return
-		}
-		if segErr == nil {
-			m.Segments[r.PE] = append(m.Segments[r.PE], r)
-		}
-	})
-	if err2 == nil {
-		err2 = segErr
-	}
-	if err2 != nil {
-		return nil, 0, err2
-	}
-	skipped += segSkipped + segExtra
 
 	// Merge the worker partials: exact integer sums, any order.
 	for _, p := range partials {
@@ -430,127 +312,5 @@ func ReadSummary(dir string, opts ReadOptions) (*Summary, int, error) {
 			m.PAPITotals[i] = make([]int64, npes)
 		}
 	}
-	return m, skipped, nil
-}
-
-// Visitor receives every record of a trace directory during Accumulate.
-// Nil callbacks skip their record kind's files entirely (the files are
-// not even opened), which is how callers avoid paying for traces they
-// do not consume.
-type Visitor struct {
-	Logical  func(pe int, r LogicalRecord)
-	PAPI     func(pe int, r PAPIRecord)
-	Physical func(r PhysicalRecord)
-	Overall  func(r OverallRecord)
-	Segment  func(r SegmentRecord)
-}
-
-// Info describes the trace directory Accumulate walked: the meta-file
-// parameters plus which features were actually found on disk.
-type Info struct {
-	NumPEs     int
-	PEsPerNode int
-	Config     Config
-}
-
-// Accumulate streams every record of a trace directory through v on the
-// calling goroutine, in deterministic order: logical files PE 0..n-1,
-// PAPI files PE 0..n-1, overall, physical (or its live .part files in
-// PE order), segments. Records are decoded into reused scratch and
-// never materialized, so memory stays O(1) in trace size. Accumulate is
-// strictly sequential - callbacks need no locking; use ReadSummary for
-// the parallel aggregation path. opts.Workers is ignored.
-func Accumulate(dir string, opts ReadOptions, v Visitor) (Info, int, error) {
-	npes, perNode, events, sample, err := readMeta(filepath.Join(dir, metaFile))
-	if err != nil {
-		return Info{}, 0, err
-	}
-	tolerant := opts.Tolerant
-	info := Info{NumPEs: npes, PEsPerNode: perNode,
-		Config: Config{PAPIEvents: events, LogicalSample: sample}}
-	skipped := 0
-
-	if v.Logical != nil {
-		for pe := 0; pe < npes; pe++ {
-			pe := pe
-			found, n, err := scanLogicalShard(dir, pe, npes, tolerant,
-				func(r LogicalRecord) { v.Logical(pe, r) })
-			if err != nil {
-				return Info{}, 0, err
-			}
-			if found {
-				skipped += n
-				info.Config.Logical = true
-			}
-		}
-	}
-	if v.PAPI != nil {
-		for pe := 0; pe < npes; pe++ {
-			pe := pe
-			found, n, err := scanPAPIShard(dir, pe, len(events), npes, tolerant,
-				func(r PAPIRecord) { v.PAPI(pe, r) })
-			if err != nil {
-				return Info{}, 0, err
-			}
-			_ = found
-			skipped += n
-		}
-	}
-	if v.Overall != nil {
-		found, n, err := scanOverallShard(dir, tolerant, v.Overall)
-		if err != nil {
-			return Info{}, 0, err
-		}
-		if found {
-			skipped += n
-			info.Config.Overall = true
-		}
-	}
-	if v.Physical != nil {
-		found, n, err := scanPhysicalShard(dir, -1, npes, tolerant, v.Physical)
-		if err != nil {
-			return Info{}, 0, err
-		}
-		if found {
-			skipped += n
-			info.Config.Physical = true
-		} else if tolerant {
-			for pe := 0; pe < npes; pe++ {
-				found, n, err := scanPhysicalShard(dir, pe, npes, true, v.Physical)
-				if err != nil {
-					return Info{}, 0, err
-				}
-				if found {
-					skipped += n
-					info.Config.Physical = true
-				}
-			}
-		}
-	}
-	if v.Segment != nil {
-		var segErr error
-		_, n, err := scanSegmentsShard(dir, len(events), tolerant, func(r SegmentRecord) {
-			if r.PE < 0 || r.PE >= npes {
-				if tolerant {
-					skipped++
-					return
-				}
-				if segErr == nil {
-					segErr = fmtErrSegmentRange(r.PE, npes)
-				}
-				return
-			}
-			if segErr == nil {
-				v.Segment(r)
-			}
-		})
-		if err == nil {
-			err = segErr
-		}
-		if err != nil {
-			return Info{}, 0, err
-		}
-		skipped += n
-	}
-	return info, skipped, nil
+	return m, d.skipped, nil
 }

@@ -83,7 +83,7 @@ func TestWindowQueryMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := ReadSet(dir)
+			ref, _, err := ReadSet(dir, ReadOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func TestWindowQueryCSVFallback(t *testing.T) {
 	if _, err := LoadTimeIndex(dir); err == nil {
 		t.Fatal("CSV-only directory loaded a time index")
 	}
-	ref, err := ReadSet(dir)
+	ref, _, err := ReadSet(dir, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestWindowQueryLiveFallback(t *testing.T) {
 		pc.Close()
 	}
 	// No Finalize: the run is "still live".
-	ref, _, err := ReadSetLive(dir)
+	ref, _, err := ReadSet(dir, ReadOptions{Tolerant: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestCorruptIndexNeverBreaksQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := ReadSet(dir)
+	ref, _, err := ReadSet(dir, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestWindowQueryReadsOnlyWindow(t *testing.T) {
 	if total < 250 {
 		t.Fatalf("fixture built only %d blocks; load shape needs hundreds", total)
 	}
-	ref, err := ReadSet(dir)
+	ref, _, err := ReadSet(dir, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestStreamingFinalizeWritesIndex(t *testing.T) {
 	if ix.Rows() != int64(4*100) {
 		t.Fatalf("index covers %d rows, want 400", ix.Rows())
 	}
-	ref, err := ReadSet(dir)
+	ref, _, err := ReadSet(dir, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

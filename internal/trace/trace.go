@@ -11,7 +11,12 @@
 //	-DENABLE_TCOMM_PROFILING  -> Config.Overall
 //	-DENABLE_TRACE_PHYSICAL   -> Config.Physical
 //
-// File formats (paper Section III):
+// Runs write one native format, the binary columnar APBF (binary.go):
+// PEi_send.bin, PEi_PAPI.bin, overall.bin, physical.bin, segments.bin.
+// The paper's text formats (Section III) are kept byte for byte as an
+// interchange format - written under FormatCSV, which only the
+// "actorprof export -format paper" conversion selects, and read
+// wherever they appear:
 //
 //	PEi_send.csv : srcNode,srcPE,dstNode,dstPE,msgSize            (per logical send)
 //	PEi_PAPI.csv : srcNode,srcPE,dstNode,dstPE,pktSize,MAILBOXID,NUM_SENDS,<counters...>
@@ -53,11 +58,12 @@ type Config struct {
 	// This is the trace-size-management extension the paper lists as
 	// future work; totals-based analyses scale the counts back up.
 	LogicalSample int
-	// Format selects the on-disk representation WriteFiles and the
-	// streaming collector produce: the paper's CSV/text formats (the
-	// default), the compact binary columnar format, or both side by
-	// side. Readers auto-detect the format per file, so this only
-	// affects writers.
+	// Format selects the on-disk representation WriteFiles produces:
+	// the compact binary columnar APBF format (the zero value, and the
+	// only format runs and the streaming collector write), or the
+	// paper's CSV/text formats, which exist for interchange with the
+	// C++ ActorProf (actorprof export -format paper). Readers
+	// auto-detect the format per file, so this only affects writers.
 	Format Format
 	// Aggregate folds records into per-(src,dst) matrices at collection
 	// time instead of materializing them: the collector keeps O(PEs^2)
@@ -73,43 +79,24 @@ type Config struct {
 type Format uint8
 
 const (
+	// FormatBinary writes the compact binary columnar files
+	// (PEi_send.bin, PEi_PAPI.bin, overall.bin, physical.bin,
+	// segments.bin).
+	FormatBinary Format = iota
 	// FormatCSV writes the paper's text formats (PEi_send.csv,
 	// PEi_PAPI.csv, overall.txt, physical.txt, segments.txt).
-	FormatCSV Format = iota
-	// FormatBinary writes the compact binary columnar *.bin siblings
-	// (PEi_send.bin, ..., physical.bin) instead.
-	FormatBinary
-	// FormatBoth writes both representations.
-	FormatBoth
+	FormatCSV
 )
 
-func (f Format) csv() bool    { return f == FormatCSV || f == FormatBoth }
-func (f Format) binary() bool { return f == FormatBinary || f == FormatBoth }
-
-// String names the format as the -format CLI flags spell it.
+// String names the format: "binary" or "csv".
 func (f Format) String() string {
 	switch f {
-	case FormatCSV:
-		return "csv"
 	case FormatBinary:
 		return "binary"
-	case FormatBoth:
-		return "both"
+	case FormatCSV:
+		return "csv"
 	}
 	return fmt.Sprintf("Format(%d)", uint8(f))
-}
-
-// ParseFormat parses a -format flag value.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "csv", "":
-		return FormatCSV, nil
-	case "binary", "bin":
-		return FormatBinary, nil
-	case "both":
-		return FormatBoth, nil
-	}
-	return 0, fmt.Errorf("trace: unknown format %q (want csv, binary, or both)", s)
 }
 
 func (c Config) withDefaults() Config {
@@ -128,7 +115,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("trace: %d PAPI events configured; PAPI allows at most %d",
 			len(c.PAPIEvents), papi.MaxConcurrentEvents)
 	}
-	if c.Format > FormatBoth {
+	if c.Format > FormatCSV {
 		return fmt.Errorf("trace: unknown trace format %d", c.Format)
 	}
 	return nil
@@ -225,7 +212,7 @@ type Set struct {
 	// PAPI[pe] holds PE pe's HWPC records (PEi_PAPI.csv).
 	PAPI [][]PAPIRecord
 	// Physical[pe] holds the physical events *initiated by* PE pe; the
-	// on-disk physical.txt concatenates them in PE order.
+	// on-disk physical file concatenates them in PE order.
 	Physical [][]PhysicalRecord
 	// Overall[pe] is PE pe's breakdown (overall.txt).
 	Overall []OverallRecord

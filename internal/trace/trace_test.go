@@ -196,14 +196,14 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := set.WriteFiles(dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"PE0_send.csv", "PE3_send.csv", "PE0_PAPI.csv",
-		"overall.txt", "physical.txt", "actorprof_meta.txt"} {
+	for _, f := range []string{"PE0_send.bin", "PE3_send.bin", "PE0_PAPI.bin",
+		"overall.bin", "physical.bin", "actorprof_meta.txt"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Fatalf("missing %s: %v", f, err)
 		}
 	}
 
-	back, err := ReadSet(dir)
+	back, _, err := ReadSet(dir, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,6 +249,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestFileFormatsMatchPaper(t *testing.T) {
 	set := buildSet(t)
+	set.Config.Format = FormatCSV
 	dir := t.TempDir()
 	if err := set.WriteFiles(dir); err != nil {
 		t.Fatal(err)
@@ -351,7 +352,7 @@ func TestSegmentsFileRoundTrip(t *testing.T) {
 	if err := c.Set().WriteFiles(dir); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSet(dir)
+	back, _, err := ReadSet(dir, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +456,7 @@ func TestOverallRelatives(t *testing.T) {
 }
 
 func TestReadSetMissingDir(t *testing.T) {
-	if _, err := ReadSet(filepath.Join(t.TempDir(), "nope")); err == nil {
+	if _, _, err := ReadSet(filepath.Join(t.TempDir(), "nope"), ReadOptions{}); err == nil {
 		t.Fatal("expected error for missing directory")
 	}
 }
@@ -469,11 +470,11 @@ func TestReadSetPartialTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pe := 0; pe < 4; pe++ {
-		os.Remove(filepath.Join(dir, logicalFile(pe)))
-		os.Remove(filepath.Join(dir, papiFile(pe)))
+		os.Remove(filepath.Join(dir, logicalBinFile(pe)))
+		os.Remove(filepath.Join(dir, papiBinFile(pe)))
 	}
-	os.Remove(filepath.Join(dir, physicalFile))
-	back, err := ReadSet(dir)
+	os.Remove(filepath.Join(dir, physicalBinFile))
+	back, _, err := ReadSet(dir, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,17 +64,32 @@ func goldenExportSet() *Set {
 	return s
 }
 
-// decodeEventArray unmarshals an ExportTraceEvents payload.
-func decodeEventArray(t *testing.T, raw []byte) []map[string]any {
+// exportPerfettoDoc exports s and decodes the document.
+func exportPerfettoDoc(t *testing.T, s *Set) perfettoDoc {
 	t.Helper()
-	var events []map[string]any
-	if err := json.Unmarshal(raw, &events); err != nil {
-		t.Fatalf("export is not a JSON array: %v", err)
+	var buf bytes.Buffer
+	if err := s.ExportPerfetto(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if len(events) == 0 {
+	var doc perfettoDoc
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("perfetto export is not a JSON object: %v", err)
+	}
+	if len(doc.TraceEvents) == 0 {
 		t.Fatal("export holds no events")
 	}
-	return events
+	return doc
+}
+
+// declaredDomain returns the clock domain a Perfetto document declares
+// in its leading metadata event, which must open the stream.
+func declaredDomain(t *testing.T, doc perfettoDoc) any {
+	t.Helper()
+	first := doc.TraceEvents[0]
+	if first["name"] != "clock_domain" {
+		t.Fatalf("first event is %q, want the clock_domain metadata", first["name"])
+	}
+	return first["args"].(map[string]any)["clock_domain"]
 }
 
 // TestExportClockDomainNeverMixed is the regression for the domain-mixing
@@ -87,38 +102,46 @@ func TestExportClockDomainNeverMixed(t *testing.T) {
 	// A trace whose every record carries a clock exports in the cycles
 	// domain...
 	full := cycleSet(t, 4, 50)
-	var buf bytes.Buffer
-	if err := full.ExportTraceEvents(&buf); err != nil {
-		t.Fatal(err)
-	}
-	events := decodeEventArray(t, buf.Bytes())
-	if events[0]["name"] != "clock_domain" {
-		t.Fatalf("first event is %q, want the clock_domain metadata", events[0]["name"])
-	}
-	if d := events[0]["args"].(map[string]any)["clock_domain"]; d != "cycles" {
+	if d := declaredDomain(t, exportPerfettoDoc(t, full)); d != "cycles" {
 		t.Fatalf("full-clock trace declared domain %v, want cycles", d)
 	}
 
 	// ...but one zero-clock record anywhere demotes the entire stream to
-	// the sequence domain: ts values must then be exactly 0..n-1 in
-	// stream order, with no microsecond-converted stragglers.
+	// the sequence domain. Each record opens exactly one event - an
+	// instant, a duration begin, or the end matching an earlier begin -
+	// and those must carry ts exactly 0..n-1 in stream order; counters
+	// and unmatched ends repeat a record's ts. No microsecond-converted
+	// stragglers.
 	mixed := cycleSet(t, 4, 50)
 	mixed.Physical[2][10].Cycles = 0
-	buf.Reset()
-	if err := mixed.ExportTraceEvents(&buf); err != nil {
-		t.Fatal(err)
-	}
-	events = decodeEventArray(t, buf.Bytes())
-	if d := events[0]["args"].(map[string]any)["clock_domain"]; d != "sequence" {
+	doc := exportPerfettoDoc(t, mixed)
+	if d := declaredDomain(t, doc); d != "sequence" {
 		t.Fatalf("mixed-clock trace declared domain %v, want sequence", d)
 	}
+	n := 0
+	for _, recs := range mixed.Physical {
+		n += len(recs)
+	}
 	var seq float64
-	for _, e := range events[1:] {
+	for _, e := range doc.TraceEvents[1:] {
+		if e["ph"] == "M" {
+			continue
+		}
 		ts := e["ts"].(float64)
+		if ts != float64(int64(ts)) || ts < 0 || ts >= float64(n) {
+			t.Fatalf("%s event %q has ts %v outside the sequence domain [0, %d)", e["ph"], e["name"], ts, n)
+		}
+		args, _ := e["args"].(map[string]any)
+		if e["ph"] == "C" || args["unmatched"] == true {
+			continue
+		}
 		if ts != seq {
 			t.Fatalf("sequence-domain ts %v at position %v: domains interleaved", ts, seq)
 		}
 		seq++
+	}
+	if seq != float64(n) {
+		t.Fatalf("%v record events for %d records", seq, n)
 	}
 }
 
@@ -135,20 +158,19 @@ func TestExportCSVReloadIsSequenceDomain(t *testing.T) {
 	if err := s.WriteFiles(dir); err != nil {
 		t.Fatal(err)
 	}
-	re, err := ReadSet(dir)
+	re, _, err := ReadSet(dir, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := physicalClockDomain(re); got != DomainSequence {
 		t.Fatalf("CSV reload classified as %s, want sequence", got)
 	}
-	var buf bytes.Buffer
-	if err := re.ExportTraceEvents(&buf); err != nil {
-		t.Fatal(err)
-	}
-	events := decodeEventArray(t, buf.Bytes())
-	if d := events[0]["args"].(map[string]any)["clock_domain"]; d != "sequence" {
+	doc := exportPerfettoDoc(t, re)
+	if d := declaredDomain(t, doc); d != "sequence" {
 		t.Fatalf("CSV reload declared domain %v, want sequence", d)
+	}
+	if d := doc.OtherData["clock_domain"]; d != "sequence" {
+		t.Fatalf("CSV reload otherData clock_domain %v, want sequence", d)
 	}
 
 	// The binary round trip preserves the clocks and the domain.
@@ -157,7 +179,7 @@ func TestExportCSVReloadIsSequenceDomain(t *testing.T) {
 	if err := s.WriteFiles(bdir); err != nil {
 		t.Fatal(err)
 	}
-	rb, err := ReadSet(bdir)
+	rb, _, err := ReadSet(bdir, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,19 +330,6 @@ func TestGoldenPerfettoExport(t *testing.T) {
 		validateTraceEventObject(t, e)
 	}
 	checkExportGolden(t, "perfetto_export", buf.Bytes())
-}
-
-// TestGoldenTraceEventsExport pins the legacy instant-event array the
-// same way, including its leading clock_domain metadata event.
-func TestGoldenTraceEventsExport(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenExportSet().ExportTraceEvents(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range decodeEventArray(t, buf.Bytes()) {
-		validateTraceEventObject(t, e)
-	}
-	checkExportGolden(t, "trace_events_export", buf.Bytes())
 }
 
 // TestExportPerfettoUnmatchedSends: sends whose progress record never

@@ -357,15 +357,15 @@ func QueryWindowSet(s *Set, q Window) *WindowResult {
 // QueryWindow answers q against a trace directory, using the time index
 // when one is present, valid, and fresh, and falling back to the exact
 // full-scan reference otherwise (CSV-only traces, live streaming runs,
-// torn or stale sidecars). The fallback tolerates in-progress
-// directories the same way ReadSetLive does.
+// torn or stale sidecars). The fallback reads with ReadOptions.Tolerant,
+// so in-progress directories work.
 func QueryWindow(dir string, q Window) (*WindowResult, error) {
 	if ix, err := LoadTimeIndex(dir); err == nil {
 		if res, err := ix.Query(dir, q); err == nil {
 			return res, nil
 		}
 	}
-	s, _, err := ReadSetLive(dir)
+	s, _, err := ReadSet(dir, ReadOptions{Tolerant: true})
 	if err != nil {
 		return nil, err
 	}
