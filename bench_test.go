@@ -205,12 +205,12 @@ func BenchmarkFig06LShapeObservation(b *testing.B) {
 func BenchmarkFig07PhysicalViolin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, nodes := range []int{1, 2} {
-			cy := runCase(b, nodes, core.DistCyclic, trace.Config{Physical: true})
+			cy := runCase(b, nodes, core.DistCyclic, trace.Config{Physical: true}).Set.Summary()
 			rg := runCase(b, nodes, core.DistRange, trace.Config{Physical: true})
-			if _, err := core.PhysicalViolin(cy.Set, "cyclic").RenderSVG(); err != nil {
+			if _, err := core.PhysicalViolin(cy, "cyclic").RenderSVG(); err != nil {
 				b.Fatal(err)
 			}
-			cyM, rgM := cy.Set.PhysicalMatrix(), rg.Set.PhysicalMatrix()
+			cyM, rgM := cy.PhysicalMatrix(), rg.Set.PhysicalMatrix()
 			if nodes == 1 {
 				b.ReportMetric(float64(maxOf(cyM.SendTotals()))/float64(maxOf(rgM.SendTotals())),
 					"1n-maxBufSend-cyclic/range")
@@ -230,10 +230,11 @@ func benchPhysicalHeatmap(b *testing.B, nodes int) {
 	for i := 0; i < b.N; i++ {
 		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
 			rep := runCase(b, nodes, dist, trace.Config{Physical: true})
-			if _, err := core.PhysicalHeatmap(rep.Set, string(dist)).RenderSVG(); err != nil {
+			sum := rep.Set.Summary()
+			if _, err := core.PhysicalHeatmap(sum, string(dist)).RenderSVG(); err != nil {
 				b.Fatal(err)
 			}
-			kinds := rep.Set.PhysicalKindCounts()
+			kinds := sum.PhysicalKindCounts()
 			if nodes == 1 {
 				if kinds[conveyor.NonblockSend] != 0 {
 					b.Fatal("1D linear topology must not use nonblock_send")
@@ -273,12 +274,12 @@ func BenchmarkFig09PhysicalHeatmap2Node(b *testing.B) { benchPhysicalHeatmap(b, 
 func benchPAPIBar(b *testing.B, nodes int) {
 	cfg := trace.Config{PAPIEvents: []papi.Event{papi.TOT_INS, papi.LST_INS}, PAPIRecordEvery: 64}
 	for i := 0; i < b.N; i++ {
-		cy := runCase(b, nodes, core.DistCyclic, cfg)
+		cy := runCase(b, nodes, core.DistCyclic, cfg).Set.Summary()
 		rg := runCase(b, nodes, core.DistRange, cfg)
-		if _, err := core.PAPIBar(cy.Set, papi.TOT_INS, "cyclic").RenderSVG(); err != nil {
+		if _, err := core.PAPIBar(cy, papi.TOT_INS, "cyclic").RenderSVG(); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(trace.MaxOverMean(cy.Set.PAPITotalsPerPE(papi.TOT_INS)), "cyclicInsImb")
+		b.ReportMetric(trace.MaxOverMean(cy.PAPITotalsPerPE(papi.TOT_INS)), "cyclicInsImb")
 		b.ReportMetric(trace.MaxOverMean(rg.Set.PAPITotalsPerPE(papi.TOT_INS)), "rangeInsImb")
 	}
 }
@@ -326,10 +327,31 @@ func BenchmarkFig12Overall1Node(b *testing.B) { benchOverall(b, 1) }
 func BenchmarkFig13Overall2Node(b *testing.B) { benchOverall(b, 2) }
 
 // BenchmarkTracingOverheadOff / ...Full quantify Section IV-E: the cost
-// of ActorProf tracing. Compare ns/op between the two.
+// of ActorProf tracing. Compare ns/op between the two. Off runs the
+// triangle kernel through core.Run with a zero trace.Config and no
+// schedule capture - core.RunTriangle would upgrade an empty config to
+// full tracing - but keeps RunTriangle's per-run distribution build and
+// serial validation, so the two differ only in profiling.
 func BenchmarkTracingOverheadOff(b *testing.B) {
+	g := sharedGraph(b)
+	counts := make([]int64, 16)
 	for i := 0; i < b.N; i++ {
-		runCase(b, 1, core.DistCyclic, trace.Config{})
+		dist, err := core.DistCyclic.Build(g, 16)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.Run(core.Options{
+			Machine: sim.Machine{NumPEs: 16, PEsPerNode: 16},
+		}, func(rt *actor.Runtime) error {
+			got, err := apps.TriangleCount(rt, g, dist)
+			counts[rt.PE().Rank()] = got
+			return err
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if want := g.CountTrianglesSerial(); counts[0] != want {
+			b.Fatalf("validation failed: %d vs %d", counts[0], want)
+		}
 	}
 }
 

@@ -41,6 +41,7 @@ type runner struct {
 	out     string
 	scale   int
 	reports map[string]*core.TriangleReport // key: "1n_cyclic" etc.
+	sums    map[string]*trace.Summary       // each report's Summary, same keys
 	summary []string
 }
 
@@ -62,7 +63,8 @@ func runMain(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	r := &runner{out: *out, scale: *scale, reports: map[string]*core.TriangleReport{}}
+	r := &runner{out: *out, scale: *scale,
+		reports: map[string]*core.TriangleReport{}, sums: map[string]*trace.Summary{}}
 	if *scaleup {
 		return r.runScaleUp(*suPEs, 16, *suScale, *suKeys)
 	}
@@ -109,11 +111,12 @@ func (r *runner) runSweep(list string) error {
 				rg = rep
 			}
 		}
-		cyM, rgM := cy.Set.LogicalMatrix(), rg.Set.LogicalMatrix()
+		cyS := cy.Set.Summary()
+		cyM, rgM := cyS.LogicalMatrix(), rg.Set.LogicalMatrix()
 		rows = append(rows, fmt.Sprintf("| %d | %d | %d | %.1fx | %.1fx | %.1fx |",
 			scale, cy.Graph.NumVertices(), cyM.Total(),
 			ratio(maxOf(cyM.SendTotals()), maxOf(rgM.SendTotals())),
-			trace.MaxOverMean(cy.Set.PAPITotalsPerPE(papi.TOT_INS)),
+			trace.MaxOverMean(cyS.PAPITotalsPerPE(papi.TOT_INS)),
 			ratio(maxTotal(cy.Set), maxTotal(rg.Set))))
 		fmt.Println(rows[len(rows)-1])
 	}
@@ -181,11 +184,12 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 				break
 			}
 		}
-		lm := set.LogicalMatrix()
+		sum := set.Summary()
+		lm := sum.LogicalMatrix()
 		rows = append(rows, fmt.Sprintf("| isort | %d keys/PE | %d | %d | %v | %.1fx | %.1fx | %v |",
 			keysPerPE, pes, lm.Total(), validated,
 			trace.MaxOverMean(lm.SendTotals()),
-			trace.MaxOverMean(set.PAPITotalsPerPE(papi.TOT_INS)), wall))
+			trace.MaxOverMean(sum.PAPITotalsPerPE(papi.TOT_INS)), wall))
 		fmt.Println(rows[len(rows)-1])
 		if !validated {
 			return fmt.Errorf("scaleup: isort validation failed at %d PEs", pes)
@@ -228,11 +232,12 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 				break
 			}
 		}
-		lm := set.LogicalMatrix()
+		sum := set.Summary()
+		lm := sum.LogicalMatrix()
 		rows = append(rows, fmt.Sprintf("| trianglecount | R-MAT scale %d (%d vertices, %d edges) | %d | %d | %v | %.1fx | %.1fx | %v |",
 			scale, g.NumVertices(), g.NumEdges(), pes, lm.Total(), validated,
 			trace.MaxOverMean(lm.SendTotals()),
-			trace.MaxOverMean(set.PAPITotalsPerPE(papi.TOT_INS)), wall))
+			trace.MaxOverMean(sum.PAPITotalsPerPE(papi.TOT_INS)), wall))
 		fmt.Println(rows[len(rows)-1])
 		if !validated {
 			return fmt.Errorf("scaleup: trianglecount validation failed (want %d)", expected)
@@ -295,6 +300,7 @@ func (r *runner) run() error {
 			}
 			key := fmt.Sprintf("%dn_%s", nodes, dist)
 			r.reports[key] = rep
+			r.sums[key] = rep.Set.Summary()
 			dir := filepath.Join(r.out, "traces", key)
 			if err := rep.Set.WriteFiles(dir); err != nil {
 				return err
@@ -365,17 +371,17 @@ func (r *runner) fig34() error {
 		fig   string
 		nodes int
 	}{{"fig03_logical_heatmap_1node", 1}, {"fig04_logical_heatmap_2node", 2}} {
-		cy := r.reports[fmt.Sprintf("%dn_cyclic", spec.nodes)]
-		rg := r.reports[fmt.Sprintf("%dn_range", spec.nodes)]
+		cy := r.sums[fmt.Sprintf("%dn_cyclic", spec.nodes)]
+		rg := r.sums[fmt.Sprintf("%dn_range", spec.nodes)]
 		if err := r.saveHeatmap(spec.fig, "cyclic",
-			core.LogicalHeatmap(cy.Set, "Logical trace - 1D Cyclic")); err != nil {
+			core.LogicalHeatmap(cy, "Logical trace - 1D Cyclic")); err != nil {
 			return err
 		}
 		if err := r.saveHeatmap(spec.fig, "range",
-			core.LogicalHeatmap(rg.Set, "Logical trace - 1D Range")); err != nil {
+			core.LogicalHeatmap(rg, "Logical trace - 1D Range")); err != nil {
 			return err
 		}
-		cyM, rgM := cy.Set.LogicalMatrix(), rg.Set.LogicalMatrix()
+		cyM, rgM := cy.LogicalMatrix(), rg.LogicalMatrix()
 		r.add(fmt.Sprintf("Fig %d (%d node)", spec.nodes+2, spec.nodes),
 			"Cyclic: PE0-heavy, irregular; Range: (L) shape; cyclic max sends ~6x, recvs ~2x range's",
 			fmt.Sprintf("max sends cyclic/range %.1fx, max recvs %.1fx, cyclic send-imb %.1fx vs range %.1fx",
@@ -389,16 +395,16 @@ func (r *runner) fig34() error {
 func (r *runner) fig5() error {
 	for _, nodes := range []int{1, 2} {
 		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
-			rep := r.reports[fmt.Sprintf("%dn_%s", nodes, dist)]
+			key := fmt.Sprintf("%dn_%s", nodes, dist)
 			name := fmt.Sprintf("%s_%dnode", dist, nodes)
 			if err := r.saveViolin("fig05_logical_violin", name,
-				core.LogicalViolin(rep.Set, "Logical violin - "+rep.DistName)); err != nil {
+				core.LogicalViolin(r.sums[key], "Logical violin - "+r.reports[key].DistName)); err != nil {
 				return err
 			}
 		}
 		// The paper's combined panel: all four groups on a shared axis.
-		cy := r.reports[fmt.Sprintf("%dn_cyclic", nodes)].Set.LogicalMatrix()
-		rg := r.reports[fmt.Sprintf("%dn_range", nodes)].Set.LogicalMatrix()
+		cy := r.sums[fmt.Sprintf("%dn_cyclic", nodes)].LogicalMatrix()
+		rg := r.sums[fmt.Sprintf("%dn_range", nodes)].LogicalMatrix()
 		combined := &viz.Violin{
 			Title:  fmt.Sprintf("Logical sends/recvs per PE - %d node(s)", nodes),
 			YLabel: "messages per PE",
@@ -414,8 +420,8 @@ func (r *runner) fig5() error {
 			return err
 		}
 	}
-	cy1 := r.reports["1n_cyclic"].Set.LogicalMatrix()
-	cy2 := r.reports["2n_cyclic"].Set.LogicalMatrix()
+	cy1 := r.sums["1n_cyclic"].LogicalMatrix()
+	cy2 := r.sums["2n_cyclic"].LogicalMatrix()
 	r.add("Fig 5",
 		"1 node: cyclic max recv ~1.33x max send; 2 nodes: max send ~2-3x max recv",
 		fmt.Sprintf("1n maxRecv/maxSend %.2f; 2n maxSend/maxRecv %.2f",
@@ -425,7 +431,7 @@ func (r *runner) fig5() error {
 }
 
 func (r *runner) fig6() error {
-	m := r.reports["1n_range"].Set.LogicalMatrix()
+	m := r.sums["1n_range"].LogicalMatrix()
 	var upper int64
 	n := len(m)
 	for src := 0; src < n; src++ {
@@ -452,16 +458,16 @@ func (r *runner) fig6() error {
 func (r *runner) fig7() error {
 	for _, nodes := range []int{1, 2} {
 		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
-			rep := r.reports[fmt.Sprintf("%dn_%s", nodes, dist)]
+			key := fmt.Sprintf("%dn_%s", nodes, dist)
 			name := fmt.Sprintf("%s_%dnode", dist, nodes)
 			if err := r.saveViolin("fig07_physical_violin", name,
-				core.PhysicalViolin(rep.Set, "Physical violin - "+rep.DistName)); err != nil {
+				core.PhysicalViolin(r.sums[key], "Physical violin - "+r.reports[key].DistName)); err != nil {
 				return err
 			}
 		}
 	}
-	cy := r.reports["1n_cyclic"].Set.PhysicalMatrix()
-	rg := r.reports["1n_range"].Set.PhysicalMatrix()
+	cy := r.sums["1n_cyclic"].PhysicalMatrix()
+	rg := r.sums["1n_range"].PhysicalMatrix()
 	r.add("Fig 7",
 		"Cyclic buffer sends ~2-4x worse than range; recvs ~5-15% worse",
 		fmt.Sprintf("1n max buffer sends cyclic/range %.1fx; recvs %.2fx",
@@ -476,14 +482,15 @@ func (r *runner) fig89() error {
 		nodes int
 	}{{"fig08_physical_heatmap_1node", 1}, {"fig09_physical_heatmap_2node", 2}} {
 		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
-			rep := r.reports[fmt.Sprintf("%dn_%s", spec.nodes, dist)]
+			key := fmt.Sprintf("%dn_%s", spec.nodes, dist)
+			rep, sum := r.reports[key], r.sums[key]
 			if err := r.saveHeatmap(spec.fig, string(dist),
-				core.PhysicalHeatmap(rep.Set, "Physical trace - "+rep.DistName)); err != nil {
+				core.PhysicalHeatmap(sum, "Physical trace - "+rep.DistName)); err != nil {
 				return err
 			}
 			// Per-mechanism heatmaps, as the paper separates them.
 			for _, kind := range []conveyor.SendKind{conveyor.LocalSend, conveyor.NonblockSend} {
-				m := rep.Set.PhysicalMatrixOf(kind)
+				m := sum.PhysicalMatrixOf(kind)
 				if m.Total() == 0 {
 					continue
 				}
@@ -498,8 +505,8 @@ func (r *runner) fig89() error {
 			}
 		}
 	}
-	k1 := r.reports["1n_cyclic"].Set.PhysicalKindCounts()
-	k2 := r.reports["2n_cyclic"].Set.PhysicalKindCounts()
+	k1 := r.sums["1n_cyclic"].PhysicalKindCounts()
+	k2 := r.sums["2n_cyclic"].PhysicalKindCounts()
 	r.add("Fig 8/9",
 		"1 node: 1D linear (local_send only); 2 nodes: 2D mesh (rows local_send, columns nonblock_send)",
 		fmt.Sprintf("1n: local=%d nonblock=%d; 2n: local=%d nonblock=%d progress=%d",
@@ -514,20 +521,20 @@ func (r *runner) fig1011() error {
 		nodes int
 	}{{"fig10_papi_bar_1node", 1}, {"fig11_papi_bar_2node", 2}} {
 		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
-			rep := r.reports[fmt.Sprintf("%dn_%s", spec.nodes, dist)]
-			bar := core.PAPIBar(rep.Set, papi.TOT_INS, "PAPI_TOT_INS - "+rep.DistName)
+			key := fmt.Sprintf("%dn_%s", spec.nodes, dist)
+			bar := core.PAPIBar(r.sums[key], papi.TOT_INS, "PAPI_TOT_INS - "+r.reports[key].DistName)
 			if err := r.save(spec.fig, string(dist),
 				func(f *os.File) error { return bar.RenderText(f) }, bar.RenderSVG); err != nil {
 				return err
 			}
 		}
-		cy := r.reports[fmt.Sprintf("%dn_cyclic", spec.nodes)]
-		rg := r.reports[fmt.Sprintf("%dn_range", spec.nodes)]
+		cy := r.sums[fmt.Sprintf("%dn_cyclic", spec.nodes)]
+		rg := r.sums[fmt.Sprintf("%dn_range", spec.nodes)]
 		r.add(fmt.Sprintf("Fig %d (%d node)", spec.nodes+9, spec.nodes),
 			"PE0 TOT_INS imbalance up to ~4-5x under cyclic; flat under range",
 			fmt.Sprintf("cyclic imb %.1fx, range imb %.1fx",
-				trace.MaxOverMean(cy.Set.PAPITotalsPerPE(papi.TOT_INS)),
-				trace.MaxOverMean(rg.Set.PAPITotalsPerPE(papi.TOT_INS))))
+				trace.MaxOverMean(cy.PAPITotalsPerPE(papi.TOT_INS)),
+				trace.MaxOverMean(rg.PAPITotalsPerPE(papi.TOT_INS))))
 	}
 	return nil
 }
@@ -538,13 +545,13 @@ func (r *runner) fig1213() error {
 		nodes int
 	}{{"fig12_overall_1node", 1}, {"fig13_overall_2node", 2}} {
 		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
-			rep := r.reports[fmt.Sprintf("%dn_%s", spec.nodes, dist)]
+			key := fmt.Sprintf("%dn_%s", spec.nodes, dist)
 			for _, mode := range []struct {
 				rel  bool
 				name string
 			}{{false, "absolute"}, {true, "relative"}} {
-				sb := core.OverallStacked(rep.Set, mode.rel,
-					fmt.Sprintf("Overall (%s) - %s", mode.name, rep.DistName))
+				sb := core.OverallStacked(r.sums[key], mode.rel,
+					fmt.Sprintf("Overall (%s) - %s", mode.name, r.reports[key].DistName))
 				if err := r.save(spec.fig, fmt.Sprintf("%s_%s", dist, mode.name),
 					func(f *os.File) error { return sb.RenderText(f) }, sb.RenderSVG); err != nil {
 					return err

@@ -80,15 +80,16 @@ func run(args []string) error {
 	}
 
 	set := rep.Set
-	lm := set.LogicalMatrix()
+	sum := set.Summary()
+	lm := sum.LogicalMatrix()
 	fmt.Printf("\nlogical trace:  %d sends; per-PE send imbalance (max/mean) %.2fx, recv %.2fx\n",
 		lm.Total(), trace.MaxOverMean(lm.SendTotals()), trace.MaxOverMean(lm.RecvTotals()))
-	pm := set.PhysicalMatrix()
-	kinds := set.PhysicalKindCounts()
+	pm := sum.PhysicalMatrix()
+	kinds := sum.PhysicalKindCounts()
 	fmt.Printf("physical trace: %d buffers (local_send %d, nonblock_send %d, nonblock_progress %d)\n",
 		pm.Total(), kinds[conveyor.LocalSend], kinds[conveyor.NonblockSend],
 		kinds[conveyor.NonblockProgress])
-	ins := set.PAPITotalsPerPE(papi.TOT_INS)
+	ins := sum.PAPITotalsPerPE(papi.TOT_INS)
 	fmt.Printf("PAPI: TOT_INS imbalance (max/mean) %.2fx\n", trace.MaxOverMean(ins))
 
 	var tm, tc, tp, tt int64

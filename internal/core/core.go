@@ -47,10 +47,12 @@ type Options struct {
 	// StreamDir, when non-empty, switches the run to a streaming
 	// collector that writes trace records into this directory as they
 	// are produced instead of buffering them (paper Section VI: traces
-	// can reach 100 GB). The directory is finalized when Run returns;
-	// while the run is still executing, actorprofd (or trace.ReadSet with
-	// ReadOptions.Tolerant) can ingest the directory and serve the plots
-	// live.
+	// can reach 100 GB). The directory is finalized when Run returns,
+	// and the returned Set carries no records but the Summary they
+	// folded into, so its matrices equal trace.ReadSummary(StreamDir)'s.
+	// While the run is still executing, actorprofd (or trace.ReadSet
+	// with ReadOptions.Tolerant) can ingest the directory and serve the
+	// plots live.
 	StreamDir string
 }
 
@@ -186,11 +188,11 @@ func BottleneckPlot(an *whatif.Analysis, top int, title string) *viz.Ranked {
 
 func formatInt(v int64) string { return fmt.Sprintf("%d", v) }
 
-// The plot constructors below accept any trace.Source - a fully
-// materialized *trace.Set or the O(PEs^2) *trace.Summary produced by
-// trace.ReadSummary / (*trace.Set).Summary() - since every standard
-// plot consumes only matrices, per-PE totals, and the overall
-// breakdown, never individual records.
+// The plot constructors below accept any trace.Source, since every
+// standard plot consumes only matrices, per-PE totals, and the overall
+// breakdown, never individual records. Pass the O(PEs^2) *trace.Summary
+// from trace.ReadSummary or (*trace.Set).Summary(): a *trace.Set works
+// too, but folds its records again on every accessor call.
 
 // LogicalHeatmap builds the Figure 3/4 plot (-l): pre-aggregation send
 // counts between every PE pair, with send/recv totals.

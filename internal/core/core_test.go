@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -506,10 +507,28 @@ func TestRunStreamDirWritesAndFinalizesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The returned set holds counters; the record data lives on disk in a
-	// finalized directory that ReadSet loads like any buffered trace.
+	// The returned set holds counters and the Summary its records folded
+	// into; the record data lives on disk in a finalized directory that
+	// ReadSet loads like any buffered trace.
 	if set.LogicalSendCount[0] == 0 {
 		t.Error("streaming set lost the logical send counters")
+	}
+	sum, _, err := trace.ReadSummary(dir, trace.ReadOptions{})
+	if err != nil {
+		t.Fatalf("summarizing finalized stream dir: %v", err)
+	}
+	if !reflect.DeepEqual(set.LogicalMatrix(), sum.LogicalMatrix()) {
+		t.Errorf("streaming set's logical matrix differs from its directory's:\n%v\nvs\n%v",
+			set.LogicalMatrix(), sum.LogicalMatrix())
+	}
+	if !reflect.DeepEqual(set.PhysicalMatrix(), sum.PhysicalMatrix()) {
+		t.Errorf("streaming set's physical matrix differs from its directory's:\n%v\nvs\n%v",
+			set.PhysicalMatrix(), sum.PhysicalMatrix())
+	}
+	for _, ev := range set.Config.PAPIEvents {
+		if got, want := set.PAPITotalsPerPE(ev), sum.PAPITotalsPerPE(ev); !reflect.DeepEqual(got, want) {
+			t.Errorf("streaming set's %s totals %v, directory's %v", ev, got, want)
+		}
 	}
 	got, _, err := trace.ReadSet(dir, trace.ReadOptions{})
 	if err != nil {

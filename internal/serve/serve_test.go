@@ -384,13 +384,16 @@ func TestLiveDirIngestion(t *testing.T) {
 // request must complete with a 200, and Shutdown must not error.
 func TestGracefulShutdownUnderLoad(t *testing.T) {
 	srv, _ := newTestServer(t)
+	const n = 8
 	// Hold every request long enough for Shutdown to start while they
-	// are in flight.
+	// are in flight. Shutdown waits until all n are inside the handler:
+	// a request still connecting when the listener closes was never
+	// accepted, and is not what this test checks.
 	release := make(chan struct{})
-	var once sync.Once
-	started := make(chan struct{})
+	var inFlight sync.WaitGroup
+	inFlight.Add(n)
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		once.Do(func() { close(started) })
+		inFlight.Done()
 		<-release
 		srv.Handler().ServeHTTP(w, r)
 	})
@@ -402,7 +405,6 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	const n = 8
 	codes := make(chan int, n)
 	for i := 0; i < n; i++ {
 		go func() {
@@ -416,7 +418,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 			codes <- res.StatusCode
 		}()
 	}
-	<-started
+	inFlight.Wait()
 	shutDone := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

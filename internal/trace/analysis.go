@@ -1,10 +1,5 @@
 package trace
 
-import (
-	"actorprof/internal/conveyor"
-	"actorprof/internal/papi"
-)
-
 // Matrix is a square send-count matrix: Matrix[src][dst] = count. It is
 // the data behind the paper's heatmaps; the visualizer appends totals as
 // the last row (recv per destination) and last column (send per source).
@@ -53,6 +48,16 @@ func (m Matrix) Total() int64 {
 	return t
 }
 
+// add folds o into m cell by cell; o is nil or has m's shape.
+func (m Matrix) add(o Matrix) {
+	for i, row := range o {
+		dst := m[i]
+		for j, v := range row {
+			dst[j] += v
+		}
+	}
+}
+
 // Max returns the largest cell value.
 func (m Matrix) Max() int64 {
 	var mx int64
@@ -78,129 +83,6 @@ func (m Matrix) AggregateNodes(perNode int) Matrix {
 	for i, row := range m {
 		for j, v := range row {
 			out[i/perNode][j/perNode] += v
-		}
-	}
-	return out
-}
-
-// LogicalMatrix builds the pre-aggregation send-count matrix from the
-// logical trace, scaling sampled traces back to true counts. In
-// aggregate mode the counts were folded at collection time and only the
-// scaling remains.
-func (s *Set) LogicalMatrix() Matrix {
-	m := NewMatrix(s.NumPEs)
-	scale := int64(s.Config.LogicalSample)
-	if scale <= 0 {
-		scale = 1
-	}
-	if s.Config.Aggregate {
-		for i, row := range s.LogicalAgg {
-			for j, v := range row {
-				m[i][j] = v * scale
-			}
-		}
-		return m
-	}
-	for _, recs := range s.Logical {
-		for _, r := range recs {
-			m[r.SrcPE][r.DstPE] += scale
-		}
-	}
-	return m
-}
-
-// PhysicalMatrix builds the post-aggregation buffer-count matrix from the
-// physical trace. Only data-movement events (local_send, nonblock_send)
-// count as buffers; nonblock_progress events signal completion of a
-// nonblock_send and would double-count it.
-func (s *Set) PhysicalMatrix() Matrix {
-	m := NewMatrix(s.NumPEs)
-	if s.Config.Aggregate {
-		for _, kind := range []conveyor.SendKind{conveyor.LocalSend, conveyor.NonblockSend} {
-			for i, row := range s.PhysicalAgg[kind] {
-				for j, v := range row {
-					m[i][j] += v
-				}
-			}
-		}
-		return m
-	}
-	for _, recs := range s.Physical {
-		for _, r := range recs {
-			if r.Kind == conveyor.LocalSend || r.Kind == conveyor.NonblockSend {
-				m[r.SrcPE][r.DstPE]++
-			}
-		}
-	}
-	return m
-}
-
-// PhysicalMatrixOf builds the matrix for a single send kind, used by the
-// per-mechanism heatmaps (Figures 8-9 separate local_send from
-// nonblock_send).
-func (s *Set) PhysicalMatrixOf(kind conveyor.SendKind) Matrix {
-	m := NewMatrix(s.NumPEs)
-	if s.Config.Aggregate {
-		for i, row := range s.PhysicalAgg[kind] {
-			copy(m[i], row)
-		}
-		return m
-	}
-	for _, recs := range s.Physical {
-		for _, r := range recs {
-			if r.Kind == kind {
-				m[r.SrcPE][r.DstPE]++
-			}
-		}
-	}
-	return m
-}
-
-// PhysicalKindCounts returns the number of physical events per send kind.
-func (s *Set) PhysicalKindCounts() map[conveyor.SendKind]int64 {
-	out := map[conveyor.SendKind]int64{}
-	if s.Config.Aggregate {
-		for kind, m := range s.PhysicalAgg {
-			if t := m.Total(); t > 0 {
-				out[kind] = t
-			}
-		}
-		return out
-	}
-	for _, recs := range s.Physical {
-		for _, r := range recs {
-			out[r.Kind]++
-		}
-	}
-	return out
-}
-
-// PAPITotalsPerPE sums one event's counter across every PAPI record of
-// each PE: the data behind the paper's Figure 10/11 bar graphs ("total
-// number of instructions per PE").
-func (s *Set) PAPITotalsPerPE(ev papi.Event) []int64 {
-	idx := -1
-	for i, e := range s.Config.PAPIEvents {
-		if e == ev {
-			idx = i
-			break
-		}
-	}
-	out := make([]int64, s.NumPEs)
-	if idx < 0 {
-		return out
-	}
-	if s.Config.Aggregate {
-		if idx < len(s.PAPIAgg) {
-			copy(out, s.PAPIAgg[idx])
-		}
-		return out
-	}
-	for pe, recs := range s.PAPI {
-		for _, r := range recs {
-			if idx < len(r.Counters) {
-				out[pe] += r.Counters[idx]
-			}
 		}
 	}
 	return out

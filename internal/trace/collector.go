@@ -20,25 +20,60 @@ type Collector struct {
 
 	mu  sync.Mutex
 	set *Set
+	// physMisc collects, at each PE's Close, the physical events a
+	// folding PE could not add to its own rows; Set folds them once
+	// every PE is done writing.
+	physMisc []PhysicalRecord
 
 	// streamDir, when non-empty, switches the collector into streaming
 	// mode: records are written to disk as they are produced (see
-	// streaming.go) and only counters stay in memory.
+	// streaming.go) and fold into the Set's Summary instead of memory.
 	streamDir string
 	streams   []*peStream
 }
 
-// NewCollector creates a collector for the given machine.
+// NewCollector creates a collector for the given machine. Under
+// Config.Aggregate it folds records into a Summary instead of buffering
+// them.
 func NewCollector(cfg Config, machine sim.Machine) (*Collector, error) {
+	return newCollector(cfg, machine, cfg.Aggregate)
+}
+
+func newCollector(cfg Config, machine sim.Machine, fold bool) (*Collector, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Collector{
+	c := &Collector{
 		cfg:     cfg,
 		machine: machine,
 		set:     NewSet(cfg, machine.NumPEs, machine.PEsPerNode),
-	}, nil
+	}
+	if fold {
+		c.set.sum = newFoldSummary(cfg, machine)
+	}
+	return c, nil
+}
+
+// newFoldSummary allocates every aggregate cfg enables up front, so
+// that the PEs' per-record folds neither allocate nor lock: each PE
+// writes only its own rows.
+func newFoldSummary(cfg Config, machine sim.Machine) *Summary {
+	n := machine.NumPEs
+	m := &Summary{NumPEs: n, PEsPerNode: machine.PEsPerNode, Config: cfg}
+	if cfg.Logical {
+		m.Logical = NewMatrix(n)
+	}
+	if cfg.Physical {
+		m.Physical = map[conveyor.SendKind]Matrix{}
+		for kind := conveyor.LocalSend; kind <= conveyor.NonblockProgress; kind++ {
+			m.Physical[kind] = NewMatrix(n)
+		}
+	}
+	if nev := len(cfg.PAPIEvents); nev > 0 {
+		m.PAPITotals = newPAPITotals(nev, n)
+	}
+	return m
 }
 
 // Config returns the collector's configuration (with defaults applied).
@@ -49,6 +84,23 @@ func (c *Collector) Config() Config { return c.cfg }
 func (c *Collector) Set() *Set {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if m := c.set.sum; m != nil {
+		// No PE writes its rows any more, so the events attributed to
+		// other PEs can fold in; kinds that never occurred drop out, as
+		// they do from a Summary read from disk.
+		k := newSummarySink(1, m.NumPEs, m.Config)
+		yield := k.physical(0, -1)
+		for _, r := range c.physMisc {
+			yield(r)
+		}
+		c.physMisc = nil
+		k.merge(m)
+		for kind, mat := range m.Physical {
+			if mat.Total() == 0 {
+				delete(m.Physical, kind)
+			}
+		}
+	}
 	return c.set
 }
 
@@ -61,8 +113,8 @@ func (c *Collector) ForPE(pe int, engine *papi.Engine) *PECollector {
 		node:    c.machine.NodeOf(pe),
 		machine: c.machine,
 		engine:  engine,
+		sum:     c.set.sum,
 	}
-	pc.aggregate = c.cfg.Aggregate
 	if c.Streaming() {
 		s, err := c.openStreams(pe)
 		if err != nil {
@@ -104,18 +156,15 @@ type PECollector struct {
 	// stream, when non-nil, receives records directly (streaming mode).
 	stream *peStream
 
-	// Aggregate-mode state (Config.Aggregate): records fold into these
-	// per-PE accumulators instead of the slices below, and Close merges
-	// them into the Set's matrices. aggLogical and aggPhys[kind] are
-	// dst-indexed rows for sends initiated by this PE; aggPhysMisc
-	// catches the rare event attributed to another PE (or an unknown
-	// send kind), folded individually at Close.
-	aggregate   bool
-	aggLogical  []int64
-	aggPhys     [3][]int64
-	aggPhysMisc []PhysicalRecord
-	aggPAPI     []int64
-	msg         stats.Stream
+	// sum, when non-nil, is the collector's Summary: records fold into
+	// it instead of the slices below. This PE alone writes its rows -
+	// logical row pe, physical row pe of each kind, PAPI entry [ev][pe]
+	// - so the fold takes no lock. Payload-size statistics and the rare
+	// physical event attributed to another PE (or an unknown send kind)
+	// stay here until Close hands them over under the collector mutex.
+	sum      *Summary
+	msg      stats.Stream
+	physMisc []PhysicalRecord
 
 	logical      []LogicalRecord
 	logicalCount int64
@@ -200,13 +249,10 @@ func (p *PECollector) LogicalSend(mailbox, dst, msgSize int) {
 		if p.stream != nil {
 			p.streamLogical(rec)
 		}
-		if p.aggregate {
-			if p.aggLogical == nil {
-				p.aggLogical = make([]int64, p.machine.NumPEs)
-			}
-			p.aggLogical[dst]++
+		if p.sum != nil {
+			p.sum.Logical[p.pe][dst] += int64(cfg.LogicalSample)
 			p.msg.Observe(int64(msgSize))
-		} else if p.stream == nil {
+		} else {
 			p.logical = append(p.logical, rec)
 		}
 	}
@@ -248,22 +294,17 @@ func (p *PECollector) flushPAPI() {
 }
 
 // recordPAPI routes a finished PAPI record to the enabled sinks: the
-// stream (streaming mode), the per-event aggregate totals (aggregate
-// mode), or the in-memory slice.
+// stream (streaming mode), and the Summary's PAPI totals or else the
+// in-memory slice.
 func (p *PECollector) recordPAPI(rec PAPIRecord) {
 	if p.stream != nil {
 		p.streamPAPI(rec)
 	}
-	if p.aggregate {
-		if p.aggPAPI == nil {
-			p.aggPAPI = make([]int64, len(p.parent.cfg.PAPIEvents))
+	if p.sum != nil {
+		for ev, v := range rec.Counters {
+			p.sum.PAPITotals[ev][p.pe] += v
 		}
-		for i, v := range rec.Counters {
-			if i < len(p.aggPAPI) {
-				p.aggPAPI[i] += v
-			}
-		}
-	} else if p.stream == nil {
+	} else {
 		p.papiRecs = append(p.papiRecs, rec)
 	}
 }
@@ -286,22 +327,12 @@ func (p *PECollector) PhysicalSendAt(kind conveyor.SendKind, bufBytes, src, dst 
 	if p.stream != nil {
 		p.streamPhysical(rec)
 	}
-	if p.aggregate {
-		if k := int(kind); src == p.pe && k >= 0 && k < len(p.aggPhys) &&
-			dst >= 0 && dst < p.machine.NumPEs {
-			row := p.aggPhys[k]
-			if row == nil {
-				row = make([]int64, p.machine.NumPEs)
-				p.aggPhys[k] = row
-			}
-			row[dst]++
-		} else {
-			p.aggPhysMisc = append(p.aggPhysMisc, rec)
-		}
-		return
-	}
-	if p.stream == nil {
+	if p.sum == nil {
 		p.physical = append(p.physical, rec)
+	} else if m := p.sum.Physical[kind]; m != nil && src == p.pe && dst >= 0 && dst < len(m) {
+		m[src][dst]++
+	} else {
+		p.physMisc = append(p.physMisc, rec)
 	}
 }
 
@@ -353,40 +384,9 @@ func (p *PECollector) Close() {
 	c := p.parent
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p.aggregate {
-		if p.aggLogical != nil {
-			if c.set.LogicalAgg == nil {
-				c.set.LogicalAgg = NewMatrix(c.machine.NumPEs)
-			}
-			row := c.set.LogicalAgg[p.pe]
-			for d, v := range p.aggLogical {
-				row[d] += v
-			}
-		}
-		c.set.MsgBytes.Merge(p.msg)
-		for k, counts := range p.aggPhys {
-			if counts == nil {
-				continue
-			}
-			row := c.physAggMatrix(conveyor.SendKind(k))[p.pe]
-			for d, v := range counts {
-				row[d] += v
-			}
-		}
-		for _, r := range p.aggPhysMisc {
-			c.physAggMatrix(r.Kind)[r.SrcPE][r.DstPE]++
-		}
-		if p.aggPAPI != nil {
-			if c.set.PAPIAgg == nil {
-				c.set.PAPIAgg = make([][]int64, len(c.cfg.PAPIEvents))
-				for i := range c.set.PAPIAgg {
-					c.set.PAPIAgg[i] = make([]int64, c.machine.NumPEs)
-				}
-			}
-			for ev, v := range p.aggPAPI {
-				c.set.PAPIAgg[ev][p.pe] += v
-			}
-		}
+	if p.sum != nil {
+		p.sum.MsgBytes.Merge(p.msg)
+		c.physMisc = append(c.physMisc, p.physMisc...)
 	}
 	c.set.Logical[p.pe] = p.logical
 	c.set.LogicalSendCount[p.pe] = p.logicalCount
@@ -407,18 +407,4 @@ func (p *PECollector) Close() {
 		}
 		c.set.Segments[p.pe] = recs
 	}
-}
-
-// physAggMatrix returns (creating on demand) the aggregate matrix for a
-// send kind. Caller holds c.mu.
-func (c *Collector) physAggMatrix(kind conveyor.SendKind) Matrix {
-	if c.set.PhysicalAgg == nil {
-		c.set.PhysicalAgg = make(map[conveyor.SendKind]Matrix)
-	}
-	m := c.set.PhysicalAgg[kind]
-	if m == nil {
-		m = NewMatrix(c.machine.NumPEs)
-		c.set.PhysicalAgg[kind] = m
-	}
-	return m
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"actorprof/internal/conveyor"
@@ -371,66 +372,107 @@ func TestStreamingCollectorRejectsCSV(t *testing.T) {
 	}
 }
 
-// TestAggregateCollectorMatchesBuffered pins the streaming-aggregation
-// equivalence: matrices from an Aggregate collector must equal the
-// matrices a buffering collector derives from its materialized records.
+// TestAggregateCollectorMatchesBuffered is the equivalence oracle for
+// every fold into a Summary: one fixed record stream, fed to each PE from
+// its own goroutine (so -race sees the folding collectors' concurrent row
+// writes), must yield the same Summary from a buffered, an aggregate and
+// a streaming collector, and from ReadSummary of both the buffered set's
+// files and the streamed directory.
 func TestAggregateCollectorMatchesBuffered(t *testing.T) {
-	m := machine(6, 3)
-	feed := func(c *Collector) {
-		for pe := 0; pe < 6; pe++ {
-			eng := papi.NewEngine()
-			pc := c.ForPE(pe, eng)
-			for i := 0; i < 15; i++ {
-				eng.Tally(papi.Work{Ins: int64(3*pe + i), LstIns: int64(i)})
-				pc.LogicalSend(0, (pe+i)%6, 16+i)
-			}
-			pc.PhysicalSend(conveyor.LocalSend, 64, pe, (pe+1)%6)
-			pc.PhysicalSend(conveyor.NonblockSend, 128, pe, (pe+3)%6)
-			pc.OverallBreakdown(int64(10+pe), int64(20+pe), int64(500+pe))
-			pc.Close()
-		}
-	}
+	const npes = 6
+	m := machine(npes, 3)
 	cfg := Config{
 		Logical: true, Physical: true, Overall: true,
-		PAPIEvents: []papi.Event{papi.TOT_INS, papi.LST_INS},
+		PAPIEvents:    []papi.Event{papi.TOT_INS, papi.LST_INS},
+		LogicalSample: 3,
 	}
-	buffered, err := NewCollector(cfg, m)
-	if err != nil {
+	feed := func(c *Collector) {
+		var wg sync.WaitGroup
+		for pe := 0; pe < npes; pe++ {
+			wg.Add(1)
+			go func(pe int) {
+				defer wg.Done()
+				eng := papi.NewEngine()
+				pc := c.ForPE(pe, eng)
+				for i := 0; i < 15; i++ {
+					eng.Tally(papi.Work{Ins: int64(3*pe + i), LstIns: int64(i)})
+					pc.LogicalSend(0, (pe+i)%npes, 16+i)
+				}
+				pc.PhysicalSend(conveyor.LocalSend, 64, pe, (pe+1)%npes)
+				pc.PhysicalSend(conveyor.NonblockSend, 128, pe, (pe+3)%npes)
+				if pe == 0 {
+					// An event attributed to another PE's row.
+					pc.PhysicalSend(conveyor.LocalSend, 32, 4, 2)
+				}
+				pc.OverallBreakdown(int64(10+pe), int64(20+pe), int64(500+pe))
+				pc.Close()
+			}(pe)
+		}
+		wg.Wait()
+	}
+	collect := func(c *Collector, err error) *Set {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(c)
+		if c.Streaming() {
+			if err := c.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c.Set()
+	}
+	read := func(dir string) *Summary {
+		t.Helper()
+		sum, skipped, err := ReadSummary(dir, ReadOptions{})
+		if err != nil || skipped != 0 {
+			t.Fatalf("ReadSummary(%s): skipped=%d err=%v", dir, skipped, err)
+		}
+		return sum
+	}
+
+	buffered := collect(NewCollector(cfg, m))
+	bufDir := t.TempDir()
+	if err := buffered.WriteFiles(bufDir); err != nil {
 		t.Fatal(err)
 	}
-	feed(buffered)
-	want := buffered.Set()
+	streamDir := filepath.Join(t.TempDir(), "run")
+	streamed := collect(NewStreamingCollector(cfg, m, streamDir))
+	aggCfg := cfg
+	aggCfg.Aggregate = true
+	agg := collect(NewCollector(aggCfg, m))
 
-	cfg.Aggregate = true
-	agg, err := NewCollector(cfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(agg)
-	got := agg.Set()
-
-	for pe := 0; pe < 6; pe++ {
-		if len(got.Logical[pe]) != 0 || len(got.Physical[pe]) != 0 || len(got.PAPI[pe]) != 0 {
+	for pe := 0; pe < npes; pe++ {
+		if len(agg.Logical[pe]) != 0 || len(agg.Physical[pe]) != 0 || len(agg.PAPI[pe]) != 0 {
 			t.Fatalf("aggregate collector materialized records on PE %d", pe)
 		}
 	}
-	if !reflect.DeepEqual(want.LogicalMatrix(), got.LogicalMatrix()) {
-		t.Fatalf("logical matrices differ:\n%+v\nvs\n%+v", want.LogicalMatrix(), got.LogicalMatrix())
+	norm := func(name string, sum *Summary) *Summary {
+		t.Helper()
+		if !reflect.DeepEqual(sum.Config.PAPIEvents, cfg.PAPIEvents) || sum.Config.LogicalSample != cfg.LogicalSample {
+			t.Fatalf("%s: config %+v lost the PAPI events or the logical sample", name, sum.Config)
+		}
+		c := *sum
+		c.Config = Config{}
+		return &c
 	}
-	if !reflect.DeepEqual(want.PhysicalMatrix(), got.PhysicalMatrix()) {
-		t.Fatalf("physical matrices differ:\n%+v\nvs\n%+v", want.PhysicalMatrix(), got.PhysicalMatrix())
+	want := norm("buffered Set", buffered.Summary())
+	if got := want.LogicalMatrix().Total(); got != npes*15 {
+		t.Fatalf("buffered logical total %d, want %d", got, npes*15)
 	}
-	for i, ev := range cfg.PAPIEvents {
-		w, g := want.PAPITotalsPerPE(ev), got.PAPITotalsPerPE(ev)
-		if !reflect.DeepEqual(w, g) {
-			t.Fatalf("PAPI totals for event %d differ:\n%v\nvs\n%v", i, w, g)
+	for name, sum := range map[string]*Summary{
+		"aggregate Set":               agg.Summary(),
+		"streaming Set":               streamed.Summary(),
+		"ReadSummary(buffered files)": read(bufDir),
+		"ReadSummary(streamed dir)":   read(streamDir),
+	} {
+		if got := norm(name, sum); !reflect.DeepEqual(want, got) {
+			t.Errorf("%s summary differs from the buffered Set's:\n%+v\nvs\n%+v", name, got, want)
 		}
 	}
-	if !reflect.DeepEqual(want.Overall, got.Overall) {
-		t.Fatalf("overall records differ")
-	}
 	// WriteFiles needs raw records and must refuse the aggregate set.
-	if err := got.WriteFiles(t.TempDir()); err == nil {
+	if err := agg.WriteFiles(t.TempDir()); err == nil {
 		t.Fatal("WriteFiles accepted an aggregate-mode set")
 	}
 }

@@ -16,9 +16,10 @@ import (
 // far beyond what a collector can buffer in memory. A streaming
 // Collector writes every logical, PAPI, and physical record to disk the
 // moment it is produced - always as APBF, so ReadSet and the visualizer
-// work unchanged - and keeps only O(PEs) state (counters and the overall
-// breakdown) in memory. Records are encoded by binary.go's block writer
-// into per-stream column scratch, so the hot path stays allocation-free.
+// work unchanged - and keeps only O(PEs^2) state in memory: counters,
+// the overall breakdown, and the Summary every record folds into.
+// Records are encoded by binary.go's block writer into per-stream column
+// scratch, so the hot path stays allocation-free.
 // The paper's CSV formats come from converting the finished directory
 // (actorprof export -format paper).
 
@@ -67,13 +68,15 @@ func (s *peStream) flushClose() error {
 }
 
 // NewStreamingCollector creates a collector that writes records straight
-// into dir as APBF instead of buffering them. Call Finalize after the run
-// to complete the directory (meta, overall, physical assembly); Set()
-// then carries only counters and the overall breakdown - load the full
-// data back with ReadSet(dir, ...) when needed. FormatCSV is refused:
-// convert the finished directory with actorprof export -format paper.
+// into dir as APBF instead of buffering them, and folds them into a
+// Summary as Config.Aggregate does. Call Finalize after the run to
+// complete the directory (meta, overall, physical assembly); Set() then
+// carries the counters, the overall breakdown and that Summary, whose
+// matrices equal ReadSummary(dir)'s - load the records back with
+// ReadSet(dir, ...) when needed. FormatCSV is refused: convert the
+// finished directory with actorprof export -format paper.
 func NewStreamingCollector(cfg Config, machine sim.Machine, dir string) (*Collector, error) {
-	c, err := NewCollector(cfg, machine)
+	c, err := newCollector(cfg, machine, true)
 	if err != nil {
 		return nil, err
 	}

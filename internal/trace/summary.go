@@ -7,10 +7,12 @@ import (
 )
 
 // Source is what the visualization layer actually needs from a trace:
-// the aggregates behind the paper's plots, not the records. Both *Set
-// (full records in memory) and *Summary (streaming aggregation, O(PEs^2)
-// memory regardless of trace size) implement it, so every plot
-// constructor accepts either.
+// the aggregates behind the paper's plots, not the records. *Summary
+// (O(PEs^2) memory regardless of trace size) implements it, and so does
+// *Set by forwarding to its Summary. A buffered Set folds its records
+// on every such call, so a caller drawing several plots from one Set
+// passes s.Summary() once instead; every plot constructor accepts
+// either.
 type Source interface {
 	// Shape returns the PE count and PEs-per-node layout.
 	Shape() (numPEs, pesPerNode int)
@@ -28,9 +30,6 @@ type Source interface {
 	OverallRecords() []OverallRecord
 }
 
-// Set's Source implementation (LogicalMatrix, PhysicalMatrix and
-// PAPITotalsPerPE live in analysis.go).
-
 // Shape returns the PE count and PEs-per-node layout.
 func (s *Set) Shape() (int, int) { return s.NumPEs, s.PEsPerNode }
 
@@ -40,11 +39,36 @@ func (s *Set) TraceConfig() Config { return s.Config }
 // OverallRecords returns the per-PE cycle breakdowns, sorted by PE.
 func (s *Set) OverallRecords() []OverallRecord { return normalizeOverall(s.Overall) }
 
-// Summary is the streaming-aggregation view of a trace: everything the
-// heatmap/violin/bar/overall plots consume, folded record by record
-// during the scan. Where a Set costs O(records) memory, a Summary costs
-// O(PEs^2) - the difference between gigabytes and kilobytes at the
-// paper's Section VI trace sizes.
+// LogicalMatrix returns the Summary's pre-aggregation send matrix.
+func (s *Set) LogicalMatrix() Matrix { return s.Summary().LogicalMatrix() }
+
+// PhysicalMatrix returns the Summary's data-movement buffer matrix.
+func (s *Set) PhysicalMatrix() Matrix { return s.Summary().PhysicalMatrix() }
+
+// PhysicalMatrixOf returns the Summary's matrix for one send kind, used
+// by the per-mechanism heatmaps (Figures 8-9 separate local_send from
+// nonblock_send).
+func (s *Set) PhysicalMatrixOf(kind conveyor.SendKind) Matrix {
+	return s.Summary().PhysicalMatrixOf(kind)
+}
+
+// PhysicalKindCounts returns the number of physical events per send kind.
+func (s *Set) PhysicalKindCounts() map[conveyor.SendKind]int64 {
+	return s.Summary().PhysicalKindCounts()
+}
+
+// PAPITotalsPerPE sums one event's counter across every PAPI record of
+// each PE: the data behind the paper's Figure 10/11 bar graphs ("total
+// number of instructions per PE").
+func (s *Set) PAPITotalsPerPE(ev papi.Event) []int64 { return s.Summary().PAPITotalsPerPE(ev) }
+
+// Summary is the one aggregate view of a trace: everything the
+// heatmap/violin/bar/overall plots consume, folded record by record -
+// by a folding collector as the run emits them, or by summarySink as
+// ReadSummary scans files or Set.Summary walks a buffered Set. Where a
+// Set costs O(records) memory, a Summary costs O(PEs^2) - the
+// difference between gigabytes and kilobytes at the paper's Section VI
+// trace sizes.
 type Summary struct {
 	NumPEs     int
 	PEsPerNode int
@@ -87,11 +111,7 @@ func (m *Summary) LogicalMatrix() Matrix {
 func (m *Summary) PhysicalMatrix() Matrix {
 	out := NewMatrix(m.NumPEs)
 	for _, kind := range []conveyor.SendKind{conveyor.LocalSend, conveyor.NonblockSend} {
-		for i, row := range m.Physical[kind] {
-			for j, v := range row {
-				out[i][j] += v
-			}
-		}
+		out.add(m.Physical[kind])
 	}
 	return out
 }
@@ -99,9 +119,7 @@ func (m *Summary) PhysicalMatrix() Matrix {
 // PhysicalMatrixOf returns the matrix for a single send kind.
 func (m *Summary) PhysicalMatrixOf(kind conveyor.SendKind) Matrix {
 	out := NewMatrix(m.NumPEs)
-	for i, row := range m.Physical[kind] {
-		copy(out[i], row)
-	}
+	out.add(m.Physical[kind])
 	return out
 }
 
@@ -132,45 +150,57 @@ func (m *Summary) PAPITotalsPerPE(ev papi.Event) []int64 {
 // OverallRecords returns the per-PE cycle breakdowns, sorted by PE.
 func (m *Summary) OverallRecords() []OverallRecord { return m.Overall }
 
-// Summary folds an in-memory Set into its aggregate view.
+// Summary returns the Set's aggregate view, with the Set's Overall and
+// Segments attached. A Set whose collector folded at collection time
+// returns that collector's Summary, sharing its matrices (treat them as
+// read-only). Any other Set folds its records through summarySink - the
+// fold ReadSummary applies to files - one pass per record kind, on
+// every call.
 func (s *Set) Summary() *Summary {
-	m := &Summary{
-		NumPEs:     s.NumPEs,
-		PEsPerNode: s.PEsPerNode,
-		Config:     s.Config,
-		Segments:   s.Segments,
-		Overall:    normalizeOverall(s.Overall),
+	var m *Summary
+	if s.sum != nil {
+		c := *s.sum
+		m = &c
+	} else {
+		m = s.fold()
 	}
-	if s.Config.Logical {
-		m.Logical = s.LogicalMatrix()
-		if s.Config.Aggregate {
-			m.MsgBytes = s.MsgBytes
-		} else {
-			for _, recs := range s.Logical {
-				for _, r := range recs {
-					m.MsgBytes.Observe(int64(r.MsgSize))
-				}
-			}
-		}
-	}
-	if s.Config.Physical {
-		m.Physical = map[conveyor.SendKind]Matrix{}
-		for kind, count := range s.PhysicalKindCounts() {
-			if count > 0 {
-				m.Physical[kind] = s.PhysicalMatrixOf(kind)
-			}
-		}
-	}
-	if n := len(s.Config.PAPIEvents); n > 0 {
-		m.PAPITotals = make([][]int64, n)
-		for i, ev := range s.Config.PAPIEvents {
-			m.PAPITotals[i] = s.PAPITotalsPerPE(ev)
-		}
-	}
+	m.Overall = normalizeOverall(s.Overall)
+	m.Segments = s.Segments
 	return m
 }
 
-// summaryPartial is one worker's accumulation state during ReadSummary.
+// fold runs the Set's records through a single-partial summarySink.
+func (s *Set) fold() *Summary {
+	cfg := s.Config
+	k := newSummarySink(1, s.NumPEs, cfg)
+	if cfg.Logical {
+		for pe, recs := range s.Logical {
+			yield := k.logical(0, pe, 0)
+			for _, r := range recs {
+				yield(r)
+			}
+		}
+	}
+	if len(cfg.PAPIEvents) > 0 {
+		for pe, recs := range s.PAPI {
+			yield := k.papi(0, pe, 0)
+			for _, r := range recs {
+				yield(r)
+			}
+		}
+	}
+	if cfg.Physical {
+		yield := k.physical(0, -1)
+		for _, recs := range s.Physical {
+			for _, r := range recs {
+				yield(r)
+			}
+		}
+	}
+	return k.merge(&Summary{NumPEs: s.NumPEs, PEsPerNode: s.PEsPerNode, Config: cfg})
+}
+
+// summaryPartial is one worker's accumulation state in a summarySink.
 // Everything in it merges commutatively (exact integer sums), so the
 // scheduling-dependent assignment of files to workers cannot change the
 // merged result (DESIGN.md §10).
@@ -183,8 +213,19 @@ type summaryPartial struct {
 	msg           stats.Stream
 }
 
-// summarySink folds records into one partial per worker.
+// summarySink is the one fold from stored records to a Summary: records
+// fold into one partial per worker, and merge combines the partials.
 type summarySink []*summaryPartial
+
+// newSummarySink makes one empty partial per worker for an npes-PE
+// trace under cfg.
+func newSummarySink(workers, npes int, cfg Config) summarySink {
+	k := make(summarySink, workers)
+	for i := range k {
+		k[i] = &summaryPartial{npes: npes, nEvents: len(cfg.PAPIEvents), scale: int64(max(cfg.LogicalSample, 1))}
+	}
+	return k
+}
 
 func (k summarySink) logical(worker, _, _ int) func(LogicalRecord) {
 	p := k[worker]
@@ -201,10 +242,7 @@ func (k summarySink) logical(worker, _, _ int) func(LogicalRecord) {
 func (k summarySink) papi(worker, pe, _ int) func(PAPIRecord) {
 	p := k[worker]
 	if p.papi == nil {
-		p.papi = make([][]int64, p.nEvents)
-		for i := range p.papi {
-			p.papi[i] = make([]int64, p.npes)
-		}
+		p.papi = newPAPITotals(p.nEvents, p.npes)
 	}
 	return func(r PAPIRecord) {
 		for ev := 0; ev < p.nEvents && ev < len(r.Counters); ev++ {
@@ -228,6 +266,59 @@ func (k summarySink) physical(worker, _ int) func(PhysicalRecord) {
 	}
 }
 
+// merge folds every partial into m by exact integer addition, in any
+// order, adopting a partial's matrix where m has none yet. Afterwards
+// each feature m.Config enables has its aggregate, all zero when no
+// record arrived.
+func (k summarySink) merge(m *Summary) *Summary {
+	for _, p := range k {
+		m.MsgBytes.Merge(p.msg)
+		if p.logical != nil {
+			if m.Logical == nil {
+				m.Logical = p.logical
+			} else {
+				m.Logical.add(p.logical)
+			}
+		}
+		for kind, mat := range p.phys {
+			if m.Physical == nil {
+				m.Physical = map[conveyor.SendKind]Matrix{}
+			}
+			if dst := m.Physical[kind]; dst != nil {
+				dst.add(mat)
+			} else {
+				m.Physical[kind] = mat
+			}
+		}
+		if p.papi != nil {
+			if m.PAPITotals == nil {
+				m.PAPITotals = p.papi
+			} else {
+				Matrix(m.PAPITotals).add(p.papi)
+			}
+		}
+	}
+	if m.Config.Logical && m.Logical == nil {
+		m.Logical = NewMatrix(m.NumPEs) // logical files existed but held no records
+	}
+	if m.Config.Physical && m.Physical == nil {
+		m.Physical = map[conveyor.SendKind]Matrix{}
+	}
+	if n := len(m.Config.PAPIEvents); n > 0 && m.PAPITotals == nil {
+		m.PAPITotals = newPAPITotals(n, m.NumPEs)
+	}
+	return m
+}
+
+// newPAPITotals allocates zeroed per-event, per-PE counter totals.
+func newPAPITotals(nEvents, npes int) [][]int64 {
+	out := make([][]int64, nEvents)
+	for i := range out {
+		out[i] = make([]int64, npes)
+	}
+	return out
+}
+
 // ReadSummary scans a trace directory into a Summary without ever
 // materializing record slices: files parse in parallel on the same scan
 // core as ReadSet, and every record folds into per-worker partial
@@ -238,16 +329,12 @@ func ReadSummary(dir string, opts ReadOptions) (*Summary, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	npes, nEvents := d.numPEs, len(d.cfg.PAPIEvents)
-	partials := make(summarySink, d.workers)
-	for i := range partials {
-		partials[i] = &summaryPartial{npes: npes, nEvents: nEvents, scale: int64(d.cfg.LogicalSample)}
-	}
-	if err := d.run(partials); err != nil {
+	k := newSummarySink(d.workers, d.numPEs, d.cfg)
+	if err := d.run(k); err != nil {
 		return nil, 0, err
 	}
 	m := &Summary{
-		NumPEs:     npes,
+		NumPEs:     d.numPEs,
 		PEsPerNode: d.perNode,
 		Config:     d.cfg,
 		Segments:   d.segments,
@@ -255,62 +342,5 @@ func ReadSummary(dir string, opts ReadOptions) (*Summary, int, error) {
 	if d.cfg.Overall {
 		m.Overall = d.overall
 	}
-
-	// Merge the worker partials: exact integer sums, any order.
-	for _, p := range partials {
-		if p.logical != nil {
-			if m.Logical == nil {
-				m.Logical = NewMatrix(npes)
-			}
-			for i, row := range p.logical {
-				for j, v := range row {
-					m.Logical[i][j] += v
-				}
-			}
-		}
-		m.MsgBytes.Merge(p.msg)
-		if p.phys != nil {
-			if m.Physical == nil {
-				m.Physical = map[conveyor.SendKind]Matrix{}
-			}
-			for kind, mat := range p.phys {
-				dst := m.Physical[kind]
-				if dst == nil {
-					dst = NewMatrix(npes)
-					m.Physical[kind] = dst
-				}
-				for i, row := range mat {
-					for j, v := range row {
-						dst[i][j] += v
-					}
-				}
-			}
-		}
-		if p.papi != nil {
-			if m.PAPITotals == nil {
-				m.PAPITotals = make([][]int64, nEvents)
-				for i := range m.PAPITotals {
-					m.PAPITotals[i] = make([]int64, npes)
-				}
-			}
-			for ev := range p.papi {
-				for pe, v := range p.papi[ev] {
-					m.PAPITotals[ev][pe] += v
-				}
-			}
-		}
-	}
-	if m.Config.Logical && m.Logical == nil {
-		m.Logical = NewMatrix(npes) // logical files existed but held no records
-	}
-	if m.Config.Physical && m.Physical == nil {
-		m.Physical = map[conveyor.SendKind]Matrix{}
-	}
-	if nEvents > 0 && m.PAPITotals == nil {
-		m.PAPITotals = make([][]int64, nEvents)
-		for i := range m.PAPITotals {
-			m.PAPITotals[i] = make([]int64, npes)
-		}
-	}
-	return m, d.skipped, nil
+	return k.merge(m), d.skipped, nil
 }

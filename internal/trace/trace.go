@@ -30,7 +30,6 @@ import (
 
 	"actorprof/internal/conveyor"
 	"actorprof/internal/papi"
-	"actorprof/internal/stats"
 )
 
 // Config selects which traces a run collects.
@@ -65,13 +64,13 @@ type Config struct {
 	// C++ ActorProf (actorprof export -format paper). Readers
 	// auto-detect the format per file, so this only affects writers.
 	Format Format
-	// Aggregate folds records into per-(src,dst) matrices at collection
-	// time instead of materializing them: the collector keeps O(PEs^2)
-	// aggregate state (LogicalAgg, PhysicalAgg, PAPIAgg, MsgBytes)
-	// rather than O(records) slices. Heatmap/violin/overall analyses
-	// work unchanged; WriteFiles and per-record exports need raw
-	// records and refuse aggregated sets (combine with a StreamDir to
-	// keep the records on disk).
+	// Aggregate folds records into a Summary at collection time instead
+	// of materializing them: each PE adds its sends to its own rows of
+	// the collector's Summary, so the collector keeps O(PEs^2) state
+	// rather than O(records) slices. Set.Summary and the plot
+	// accessors work unchanged; WriteFiles and per-record exports need
+	// raw records and refuse aggregated sets (combine with a StreamDir
+	// to keep the records on disk).
 	Aggregate bool
 }
 
@@ -197,8 +196,9 @@ func rel(part, total int64) float64 {
 	return float64(part) / float64(total)
 }
 
-// Set is the assembled output of one traced run: everything ActorProf's
-// visualizations consume.
+// Set is the assembled output of one traced run: the records, plus the
+// per-PE breakdowns and segments. The aggregate view the visualizations
+// consume is its Summary.
 type Set struct {
 	NumPEs     int
 	PEsPerNode int
@@ -220,23 +220,11 @@ type Set struct {
 	// sorted by name.
 	Segments [][]SegmentRecord
 
-	// Aggregate-mode state (Config.Aggregate): the collector folds
-	// records into these instead of the slices above. They are nil on
-	// sets read from disk or collected without Aggregate; the matrix
-	// accessors in analysis.go consult them when Config.Aggregate is
-	// set.
-
-	// LogicalAgg[src][dst] counts sampled logical sends (unscaled;
-	// LogicalMatrix applies the LogicalSample scale).
-	LogicalAgg Matrix
-	// PhysicalAgg[kind][src][dst] counts physical events per send kind.
-	PhysicalAgg map[conveyor.SendKind]Matrix
-	// PAPIAgg[ev][pe] sums PAPI counter ev over PE pe's records,
-	// parallel to Config.PAPIEvents.
-	PAPIAgg [][]int64
-	// MsgBytes accumulates logical payload-size statistics (streaming;
-	// aggregate mode cannot recover them from records).
-	MsgBytes stats.Stream
+	// sum is the Summary a folding collector (Config.Aggregate, or
+	// streaming) built at collection time; Summary returns it instead of
+	// folding the records above, which such a collector leaves empty.
+	// Nil on sets read from disk or collected with buffered records.
+	sum *Summary
 }
 
 // NewSet allocates an empty set for npes PEs.
