@@ -46,7 +46,7 @@ func runWhatIf(args []string) error {
 
 	sched, err := whatif.ReadScheduleFile(dir)
 	if errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("%s has no %s: the run predates schedule capture; re-run the workload (e.g. trianglecount) to record one", dir, whatif.ScheduleFileName)
+		return fmt.Errorf("%s has no %s: the run was not captured, or predates the binary schedule format (schedule.json is no longer read); re-capture it by re-running the workload (e.g. trianglecount)", dir, whatif.ScheduleFileName)
 	}
 	if err != nil {
 		return err

@@ -61,6 +61,7 @@ func run(args []string) error {
 		Dist:        core.DistKind(*dist),
 		Trace:       core.FullTrace(),
 		BufferItems: *buf,
+		Capture:     true,
 	}
 	fmt.Printf("triangle counting: scale=%d ef=%d seed=%d, %d PEs on %d node(s), %s\n",
 		*scale, *ef, *seed, *pes, *pes / *perNode, core.DistKind(*dist).Label())

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"actorprof/internal/whatif"
 )
 
 // TestISortExampleSmoke runs the example at a reduced size in both
@@ -30,7 +32,7 @@ func TestISortExampleSmoke(t *testing.T) {
 			if err != nil || len(entries) == 0 {
 				t.Fatalf("no trace files written to %s (err=%v)", dir, err)
 			}
-			if _, err := os.Stat(filepath.Join(dir, "schedule.json")); err != nil {
+			if _, err := os.Stat(filepath.Join(dir, whatif.ScheduleFileName)); err != nil {
 				t.Errorf("missing captured schedule: %v", err)
 			}
 		})

@@ -71,8 +71,9 @@ func Run(opts Options, app App) (*trace.Set, error) {
 // and profiling region transition is recorded per PE, and the resulting
 // schedule feeds internal/whatif (critical paths, bottleneck ranking,
 // causal projections). When opts.StreamDir is set, the schedule is also
-// written there as schedule.json so actorprofd and `actorprof whatif`
-// find it next to the trace.
+// written there as the binary sidecar whatif.ScheduleFileName
+// (schedule.bin) so actorprofd and `actorprof whatif` find it next to
+// the trace.
 func RunCaptured(opts Options, app App) (*trace.Set, *sim.Schedule, error) {
 	return run(opts, app, true)
 }

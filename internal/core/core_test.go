@@ -574,7 +574,7 @@ func TestRunCapturedWritesSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !whatif.HasSchedule(dir) {
-		t.Fatal("StreamDir has no schedule.json")
+		t.Fatalf("StreamDir has no %s", whatif.ScheduleFileName)
 	}
 	got, err := whatif.ReadScheduleFile(dir)
 	if err != nil {

@@ -80,6 +80,11 @@ type TriangleExperiment struct {
 	// Graph, when non-nil, is used instead of generating one (lets a
 	// sweep share one input graph, as the paper's runs do).
 	Graph *graph.Graph
+	// Capture records the what-if schedule (see RunCaptured) into
+	// TriangleReport.Schedule. Recording costs memory proportional to
+	// the run's clock charges, so only callers that what-if profile the
+	// run should set it.
+	Capture bool
 }
 
 // DefaultScale is the R-MAT scale used when TriangleExperiment.Scale is
@@ -113,7 +118,8 @@ func FullTrace() trace.Config {
 type TriangleReport struct {
 	// Set is the collected ActorProf trace.
 	Set *trace.Set
-	// Schedule is the recorded what-if schedule (see internal/whatif).
+	// Schedule is the recorded what-if schedule (see internal/whatif);
+	// nil unless TriangleExperiment.Capture was set.
 	Schedule *sim.Schedule
 	// Triangles is the distributed count; Expected the serial reference.
 	Triangles, Expected int64
@@ -164,7 +170,7 @@ func RunTriangle(exp TriangleExperiment) (*TriangleReport, error) {
 	}
 
 	counts := make([]int64, exp.NumPEs)
-	set, sched, err := RunCaptured(Options{
+	set, sched, err := run(Options{
 		Machine:     sim.Machine{NumPEs: exp.NumPEs, PEsPerNode: exp.PEsPerNode},
 		Trace:       exp.Trace,
 		BufferItems: exp.BufferItems,
@@ -177,7 +183,7 @@ func RunTriangle(exp TriangleExperiment) (*TriangleReport, error) {
 		}
 		counts[rt.PE().Rank()] = got
 		return nil
-	})
+	}, exp.Capture)
 	if err != nil {
 		return nil, err
 	}

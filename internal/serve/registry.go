@@ -74,7 +74,7 @@ type runEntry struct {
 
 	// Recorded what-if schedule, loaded lazily and cached per
 	// fingerprint. nil with a matching schedFP means the directory
-	// carries no schedule.json (the run predates capture) and whatif
+	// carries no schedule.bin (the run predates capture) and whatif
 	// requests 404 without re-statting it.
 	sched   *sim.Schedule
 	schedFP string

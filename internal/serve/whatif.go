@@ -16,9 +16,9 @@ import (
 )
 
 // scheduleFor returns a run's recorded what-if schedule, loaded once
-// per directory fingerprint (the fingerprint covers schedule.json, so
+// per directory fingerprint (the fingerprint covers schedule.bin, so
 // a rewritten run invalidates the cache automatically). Runs without a
-// schedule 404.
+// schedule 404; an unreadable one is an error.
 func (r *registry) scheduleFor(id string) (*sim.Schedule, error) {
 	dir, e, err := r.entry(id)
 	if err != nil {
@@ -41,7 +41,7 @@ func (r *registry) scheduleFor(id string) (*sim.Schedule, error) {
 		e.sched, e.schedFP = sched, fp
 	}
 	if e.sched == nil {
-		return nil, noData("run %s has no recorded schedule (%s); capture one with core.RunCaptured", id, whatif.ScheduleFileName)
+		return nil, noData("run %s has no recorded schedule (%s; schedule.json from older runs is no longer read); re-capture the run with core.RunCaptured", id, whatif.ScheduleFileName)
 	}
 	return e.sched, nil
 }

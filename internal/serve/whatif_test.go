@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -43,7 +44,7 @@ func writeCapturedRun(t *testing.T, root, id string) {
 func TestWhatIfEndpoint(t *testing.T) {
 	root := t.TempDir()
 	writeCapturedRun(t, root, "cap1")
-	writeRun(t, root, "plain") // no schedule.json
+	writeRun(t, root, "plain") // no schedule.bin
 	srv, err := New(Config{Root: root})
 	if err != nil {
 		t.Fatal(err)
@@ -139,5 +140,44 @@ func TestWhatIfEndpoint(t *testing.T) {
 	}
 	if strings.Contains(body, "/runs/plain/whatif") {
 		t.Errorf("index links whatif for the schedule-less run")
+	}
+}
+
+// TestWhatIfCorruptSchedule pins the sidecar failure modes a live
+// server can meet: a truncated schedule.bin is an error response (never
+// a panic or a 200), and a temporary file left by an interrupted write
+// is not mistaken for a schedule.
+func TestWhatIfCorruptSchedule(t *testing.T) {
+	root := t.TempDir()
+	writeCapturedRun(t, root, "torn")
+	path := filepath.Join(root, "torn", whatif.ScheduleFileName)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	writeRun(t, root, "interrupted")
+	tmp := filepath.Join(root, "interrupted", whatif.ScheduleFileName+".123.tmp")
+	if err := os.WriteFile(tmp, []byte("APSC\x01"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Root: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+
+	res, body := get(t, h, "/runs/torn/whatif")
+	if res.StatusCode < 400 {
+		t.Errorf("truncated schedule: status %d, want an error: %s", res.StatusCode, body)
+	}
+	if !strings.Contains(body, "truncated") {
+		t.Errorf("truncated schedule error does not say so: %s", body)
+	}
+	res, body = get(t, h, "/runs/interrupted/whatif")
+	if res.StatusCode != http.StatusNotFound {
+		t.Errorf("leftover temporary file: status %d, want 404: %s", res.StatusCode, body)
 	}
 }

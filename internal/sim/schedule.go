@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // This file defines the recorded-schedule model behind the causal
 // what-if profiler (internal/whatif): a per-PE log of every clock
@@ -160,37 +157,14 @@ type Event struct {
 	Arg  int64
 }
 
-// MarshalJSON encodes the event compactly as a [kind, arg] pair; a
-// schedule holds one event per charge, so the long form would bloat
-// schedule.json severalfold.
-func (e Event) MarshalJSON() ([]byte, error) {
-	return json.Marshal([2]int64{int64(e.Kind), e.Arg})
-}
-
-// UnmarshalJSON decodes the [kind, arg] pair form.
-func (e *Event) UnmarshalJSON(data []byte) error {
-	var pair []int64
-	if err := json.Unmarshal(data, &pair); err != nil {
-		return err
-	}
-	if len(pair) != 2 {
-		return fmt.Errorf("sim: schedule event must be a [kind, arg] pair, got %d elements", len(pair))
-	}
-	if pair[0] < 0 || pair[0] >= int64(NumEventKinds) {
-		return fmt.Errorf("sim: schedule event kind %d out of range", pair[0])
-	}
-	e.Kind, e.Arg = EventKind(pair[0]), pair[1]
-	return nil
-}
-
 // PELog is one PE's recorded event sequence. Only the owning PE's
 // goroutine appends during the run; the log is read-only afterwards.
 type PELog struct {
 	// Skew is the PE's charge-inflation percent (fault-injected slow
 	// PE); replay applies the same SkewCharge arithmetic.
-	Skew int64 `json:"skew,omitempty"`
+	Skew int64
 	// Events is the ordered per-PE schedule.
-	Events []Event `json:"events"`
+	Events []Event
 }
 
 // Append records one event.
@@ -200,13 +174,13 @@ func (l *PELog) Append(kind EventKind, arg int64) {
 
 // Schedule is a full recorded run: the machine shape, the cost model
 // the run was priced with, and every PE's event log. It is the input to
-// the what-if engine and the payload of a trace directory's
-// schedule.json.
+// the what-if engine and the payload of a trace directory's schedule
+// sidecar (whatif.ScheduleFileName, encoded by whatif.WriteScheduleFile).
 type Schedule struct {
-	Machine Machine    `json:"machine"`
-	Timing  TimingMode `json:"timing"`
-	Cost    CostModel  `json:"cost"`
-	PEs     []*PELog   `json:"pes"`
+	Machine Machine
+	Timing  TimingMode
+	Cost    CostModel
+	PEs     []*PELog
 }
 
 // Validate checks internal consistency: machine/log agreement, a

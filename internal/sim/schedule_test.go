@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 func TestCostModelValidate(t *testing.T) {
 	if err := DefaultCostModel().Validate(); err != nil {
@@ -77,44 +74,6 @@ func TestEventKindCharged(t *testing.T) {
 	}
 }
 
-func TestScheduleJSONRoundTrip(t *testing.T) {
-	rec := NewScheduleRecorder(Machine{NumPEs: 2, PEsPerNode: 2}, Virtual, DefaultCostModel())
-	rec.PE(0).Skew = 7
-	for pe := 0; pe < 2; pe++ {
-		l := rec.PE(pe)
-		l.Append(EvFinishStart, 0)
-		l.Append(EvNetworkPut, 128)
-		l.Append(EvHandlerStart, ActorID(1, 2))
-		l.Append(EvInstr, 50)
-		l.Append(EvHandlerEnd, ActorID(1, 2))
-		l.Append(EvBarrier, 0)
-		l.Append(EvFinishEnd, 0)
-	}
-	s := rec.Schedule()
-	if err := s.Validate(); err != nil {
-		t.Fatalf("valid schedule rejected: %v", err)
-	}
-	data, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Schedule
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("round-tripped schedule invalid: %v", err)
-	}
-	if got.PEs[0].Skew != 7 || len(got.PEs[1].Events) != len(s.PEs[1].Events) {
-		t.Fatalf("round trip lost data: %+v", got.PEs)
-	}
-	for i, ev := range got.PEs[0].Events {
-		if ev != s.PEs[0].Events[i] {
-			t.Fatalf("event %d: %+v != %+v", i, ev, s.PEs[0].Events[i])
-		}
-	}
-}
-
 func TestScheduleValidateRejects(t *testing.T) {
 	mk := func() *Schedule {
 		rec := NewScheduleRecorder(Machine{NumPEs: 2, PEsPerNode: 2}, Virtual, DefaultCostModel())
@@ -139,15 +98,6 @@ func TestScheduleValidateRejects(t *testing.T) {
 		tc.mut(s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted the schedule", tc.name)
-		}
-	}
-}
-
-func TestEventJSONRejectsGarbage(t *testing.T) {
-	for _, raw := range []string{`[1]`, `[1,2,3]`, `["x",2]`, `[99,0]`, `[-1,0]`, `{}`} {
-		var ev Event
-		if err := json.Unmarshal([]byte(raw), &ev); err == nil {
-			t.Errorf("Unmarshal(%s) accepted", raw)
 		}
 	}
 }

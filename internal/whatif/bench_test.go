@@ -1,6 +1,8 @@
 package whatif
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"actorprof/internal/sim"
@@ -74,4 +76,51 @@ func BenchmarkWhatIfReplay(b *testing.B) {
 			b.Fatal("zero makespan")
 		}
 	}
+}
+
+// BenchmarkWriteScheduleFile measures encoding benchSchedule into the
+// schedule sidecar, temporary file and rename included.
+func BenchmarkWriteScheduleFile(b *testing.B) {
+	s := benchSchedule(16, 32, 24)
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteScheduleFile(dir, s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportBytesPerEvent(b, dir, s)
+}
+
+// BenchmarkReadScheduleFile measures decoding and validating the
+// sidecar BenchmarkWriteScheduleFile writes.
+func BenchmarkReadScheduleFile(b *testing.B) {
+	s := benchSchedule(16, 32, 24)
+	dir := b.TempDir()
+	if err := WriteScheduleFile(dir, s); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := ReadScheduleFile(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got.Events() != s.Events() {
+			b.Fatalf("read %d events, wrote %d", got.Events(), s.Events())
+		}
+	}
+	b.StopTimer()
+	reportBytesPerEvent(b, dir, s)
+}
+
+func reportBytesPerEvent(b *testing.B, dir string, s *sim.Schedule) {
+	fi, err := os.Stat(filepath.Join(dir, ScheduleFileName))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(fi.Size())/float64(s.Events()), "B/event")
 }

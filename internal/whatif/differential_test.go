@@ -2,6 +2,7 @@ package whatif_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"actorprof/internal/actor"
@@ -15,7 +16,7 @@ import (
 
 // capture runs one chaos app under schedule capture with the overall
 // profile enabled and returns both the recorded trace and the schedule.
-func capture(t *testing.T, app harness.App, m sim.Machine) (*trace.Set, *sim.Schedule) {
+func capture(t testing.TB, app harness.App, m sim.Machine) (*trace.Set, *sim.Schedule) {
 	t.Helper()
 	set, sched, err := core.RunCaptured(core.Options{
 		Machine:     m,
@@ -199,11 +200,29 @@ func TestDifferentialSkewed(t *testing.T) {
 	_ = set
 }
 
-// TestScheduleRoundTrip ensures schedule.json survives a write/read
-// cycle with projections intact.
+// TestScheduleRoundTrip ensures the schedule sidecar survives a
+// write/read cycle exactly: the whole Schedule is reflect.DeepEqual for
+// every chaos app and for a schedule with nonzero per-PE skew, and the
+// projections over the read-back copy are unchanged.
 func TestScheduleRoundTrip(t *testing.T) {
-	app := apps.ChaosApps()[1]
-	_, sched := capture(t, app, sim.Machine{NumPEs: 4, PEsPerNode: 2})
+	m := sim.Machine{NumPEs: 4, PEsPerNode: 2}
+	for _, app := range apps.ChaosApps() {
+		t.Run(app.Name, func(t *testing.T) {
+			_, sched := capture(t, app, m)
+			roundTrip(t, sched)
+		})
+	}
+	t.Run("skewed", func(t *testing.T) {
+		_, sched := capture(t, apps.ChaosApps()[1], m)
+		for pe := range sched.PEs {
+			sched.PEs[pe].Skew = int64(pe * 3)
+		}
+		roundTrip(t, sched)
+	})
+}
+
+func roundTrip(t *testing.T, sched *sim.Schedule) {
+	t.Helper()
 	dir := t.TempDir()
 	if err := whatif.WriteScheduleFile(dir, sched); err != nil {
 		t.Fatalf("write: %v", err)
@@ -214,6 +233,9 @@ func TestScheduleRoundTrip(t *testing.T) {
 	got, err := whatif.ReadScheduleFile(dir)
 	if err != nil {
 		t.Fatalf("read: %v", err)
+	}
+	if !reflect.DeepEqual(sched, got) {
+		t.Fatalf("round-tripped schedule differs from the original")
 	}
 	a, err := whatif.Project(sched, whatif.Identity(sched))
 	if err != nil {
